@@ -1,7 +1,8 @@
 // Package medium is the shared frequency-indexed medium resolver under
-// both simulation engines: the single-hop engine in internal/sim and the
-// multi-hop engine in internal/multihop resolve each round's radio
-// activity through the same machinery, parameterized by topology.
+// the round core in internal/sim: single-hop runs (the complete graph)
+// and multi-hop runs (internal/multihop's drivers, on an explicit graph)
+// resolve each round's radio activity through the same machinery,
+// parameterized by topology. The rendezvous engine uses it too.
 //
 // The package has two pieces. Activation turns a schedule's per-node
 // activation rounds into per-round wake buckets and a sorted active list,
@@ -27,9 +28,10 @@
 // registered under the old one — which is the hook dynamic-topology
 // experiments (nodes moving, edges churning per round) build on.
 //
-// Both engines keep their legacy full-scan resolvers as differential
-// oracles (sim.MediumScan, multihop's Config.Medium knob); the indexed
-// path must stay bit-identical to them in every observable, which
+// The round core keeps legacy full-scan resolvers for the complete graph
+// and for explicit graphs as differential oracles (sim.MediumScan, also
+// reachable through multihop's Config.Medium knob); the indexed path must
+// stay bit-identical to them in every observable, which
 // TestMediumDifferential (internal/sim) and TestMultihopMediumDifferential
 // (internal/multihop) assert over randomized topologies, schedules, and
 // adversaries.

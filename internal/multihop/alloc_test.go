@@ -76,7 +76,7 @@ func (s allocSchedule) ActivationRound(i int) uint64 { return s[i] }
 // allocFlip is churn.Flip re-implemented without the import cycle
 // (internal/churn imports this package): every base edge independently
 // toggles presence each round, deltas emitted into reused buffers. Degree
-// never exceeds the base graph's, so once the engine's adjacency slices
+// never exceeds the base graph's, so once the driver's adjacency slices
 // warm up to base capacity a churned round patches them in place.
 type allocFlip struct {
 	edges       []Edge
@@ -111,11 +111,31 @@ func (m *allocFlip) Deltas(uint64) (add, remove []Edge) {
 	return m.add, m.remove
 }
 
-// TestSteadyStateAllocs drives the multi-hop round loop past warm-up on
-// both medium paths and requires exactly zero allocations per round — the
-// multi-hop half of the zero-alloc hot-path contract (the single-hop half
-// lives in internal/sim). Unlike sim's test this one can use the real
-// adversary package (no import cycle from here).
+// roundAllocs measures, black-box through Run, the mean allocations of a
+// round past warm-up: a run of warm+100 rounds minus a run of warm rounds,
+// over the 100 rounds between. Both runs build identical state, so setup
+// cancels; what remains is the rounds themselves — the round core plus
+// this package's driver and churn path. mk must build a fresh config
+// (stateful adversaries, churn models, and arenas replay from scratch).
+func roundAllocs(t *testing.T, warm uint64, mk func(maxRounds uint64) *Config) float64 {
+	t.Helper()
+	const window = 100
+	run := func(rounds uint64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(mk(rounds)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return (run(warm+window) - run(warm)) / window
+}
+
+// TestSteadyStateAllocs drives multi-hop runs past warm-up on both medium
+// paths and on a churned grid and requires zero allocations per round —
+// the multi-hop half of the zero-alloc hot-path contract. The white-box
+// pins of the round core itself live in internal/sim; this one adds the
+// driver: config translation happens once per run, and a churned round's
+// delta application patches warmed adjacency in place.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
@@ -125,87 +145,102 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{name: "churned", m: sim.MediumIndexed, churn: true}} {
 		t.Run(path.name, func(t *testing.T) {
 			const f, jam = 16, 4
-			cfg := &Config{
-				F:        f,
-				T:        jam,
-				Seed:     7,
-				Topology: Grid(8, 8),
-				NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-					return &allocAgent{r: r, f: f}
-				},
-				Adversary: adversary.NewRandom(f, jam, 99),
-				RunToMax:  true,
-				Medium:    path.m,
+			mk := func(maxRounds uint64) *Config {
+				cfg := &Config{
+					F:        f,
+					T:        jam,
+					Seed:     7,
+					Topology: Grid(8, 8),
+					NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+						return &allocAgent{r: r, f: f}
+					},
+					Adversary: adversary.NewRandom(f, jam, 99),
+					MaxRounds: maxRounds,
+					RunToMax:  true,
+					Medium:    path.m,
+				}
+				if path.churn {
+					cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
+				}
+				return cfg
+			}
+			if allocs := roundAllocs(t, 64, mk); allocs >= 1 {
+				t.Fatalf("steady-state round allocates %.2f objects, want 0", allocs)
 			}
 			if path.churn {
-				// A churned round must also be allocation-free: the delta
-				// mutations patch warmed adjacency in place and the
-				// SetGraph swap reuses every resolver buffer.
-				cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
-			}
-			e, err := newEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := uint64(0)
-			for ; r < 64; r++ {
-				e.runRound(r + 1)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				r++
-				e.runRound(r)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
-			}
-			if path.churn && e.res.ChurnRounds == 0 {
-				t.Fatal("churned subtest never applied a delta; the alloc check ran vacuously")
+				res, err := Run(mk(164))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.ChurnRounds == 0 {
+					t.Fatal("churned subtest never applied a delta; the alloc check ran vacuously")
+				}
 			}
 		})
 	}
 }
 
 // TestActivationRoundAllocs extends the zero-alloc contract to activation
-// rounds on the multi-hop engine: with arena-built agents, a round that
-// wakes new nodes (Wake, arena construction, cohort insertion) allocates
+// rounds on multi-hop runs: with arena-built agents, a round that wakes
+// new nodes (Wake, arena construction, cohort insertion) allocates
 // nothing. Four stragglers activate inside the measured window.
 func TestActivationRoundAllocs(t *testing.T) {
 	const f, jam = 16, 4
-	topo := Grid(8, 8)
-	n := topo.N()
+	n := Grid(8, 8).N()
 	sched := make(allocSchedule, n)
 	for i := range sched {
 		sched[i] = 1
 	}
 	// Stragglers activate at rounds 72..102, inside the window.
 	sched[n-4], sched[n-3], sched[n-2], sched[n-1] = 72, 82, 92, 102
-	arena := &allocArena{f: f, nodes: make([]allocAgent, n)}
-	cfg := &Config{
-		F:         f,
-		T:         jam,
-		Seed:      7,
-		Topology:  topo,
-		NewAgent:  arena.NewAgent,
-		Schedule:  sched,
-		Adversary: adversary.NewRandom(f, jam, 99),
-		RunToMax:  true,
+	mk := func(maxRounds uint64) *Config {
+		arena := &allocArena{f: f, nodes: make([]allocAgent, n)}
+		return &Config{
+			F:         f,
+			T:         jam,
+			Seed:      7,
+			Topology:  Grid(8, 8),
+			NewAgent:  arena.NewAgent,
+			Schedule:  sched,
+			Adversary: adversary.NewRandom(f, jam, 99),
+			MaxRounds: maxRounds,
+			RunToMax:  true,
+		}
 	}
-	e, err := newEngine(cfg)
+	if allocs := roundAllocs(t, 64, mk); allocs >= 1 {
+		t.Fatalf("activation-inclusive round allocates %.2f objects, want 0", allocs)
+	}
+	res, err := Run(mk(164))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want uint64
+	for _, a := range sched {
+		want += 164 - a + 1
+	}
+	if res.NodeRounds != want {
+		t.Fatalf("%d node-rounds, want %d; the window missed the stragglers", res.NodeRounds, want)
+	}
+}
+
+// TestChurnDeltaAllocs pins the driver's in-place delta application on its
+// own: once the adjacency slices have warmed to the base graph's capacity,
+// applying a round's InsertEdge/DeleteEdge deltas allocates nothing.
+func TestChurnDeltaAllocs(t *testing.T) {
+	base := Grid(8, 8)
+	ch := &churner{cfg: &Config{Churn: newAllocFlip(base, 0.2, 123)}, topo: base.Clone()}
 	r := uint64(0)
 	for ; r < 64; r++ {
-		e.runRound(r + 1)
+		ch.graphAt(r + 1)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		r++
-		e.runRound(r)
+		ch.graphAt(r)
 	})
 	if allocs != 0 {
-		t.Fatalf("activation-inclusive round allocates %.1f objects, want 0", allocs)
+		t.Fatalf("churned round allocates %.1f objects, want 0", allocs)
 	}
-	if got := len(e.act.Active()); got != n {
-		t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", got, n)
+	if ch.rounds == 0 {
+		t.Fatal("no delta applied; the alloc check ran vacuously")
 	}
 }

@@ -200,56 +200,113 @@ func TestMultihopMediumDifferential(t *testing.T) {
 
 // TestMultihopCliqueMatchesSimIndexed pins the clique special case of the
 // indexed multi-hop resolver against the single-hop engine's own indexed
-// path: identical deliveries and collision counts on the complete graph.
+// path: identical deliveries, node-rounds, sync rounds, and every logged
+// reception on the complete graph. Both drivers run serially and through
+// RunConcurrent (one worker per node, and three workers), so the round
+// core's graph and complete-graph resolve paths are pinned against each
+// other in its serial and round-barrier forms alike.
 func TestMultihopCliqueMatchesSimIndexed(t *testing.T) {
 	const n, f, tBudget = 6, 5, 2
-	multiAgents := make([]*diffAgent, n)
-	multi, err := Run(&Config{
-		F: f, T: tBudget, Seed: 77,
-		Topology: Clique(n),
-		NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			a := newDiffAgent(r, f)
-			multiAgents[id] = a
-			return a
-		},
-		Adversary: adversary.NewPrefix(f, tBudget),
-		MaxRounds: 300,
-		RunToMax:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type leg struct {
+		name       string
+		concurrent bool
+		workers    int
 	}
-	singleAgents := make([]*diffAgent, n)
-	single, err := sim.Run(&sim.Config{
-		F: f, T: tBudget, Seed: 77,
-		NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			a := newDiffAgent(r, f)
-			singleAgents[id] = a
-			return a
-		},
-		Schedule:       sim.Simultaneous{Count: n},
-		Adversary:      adversary.NewPrefix(f, tBudget),
-		MaxRounds:      300,
-		RunToMaxRounds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	legs := []leg{{"serial", false, 0}, {"concurrent-w0", true, 0}, {"concurrent-w3", true, 3}}
+	multi := func(l leg) (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
+		agents := make([]*diffAgent, n)
+		cfg := &Config{
+			F: f, T: tBudget, Seed: 77,
+			Topology: Clique(n),
+			NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+				a := newDiffAgent(r, f)
+				agents[id] = a
+				return a
+			},
+			Adversary: adversary.NewPrefix(f, tBudget),
+			MaxRounds: 300,
+			RunToMax:  true,
+			Workers:   l.workers,
+		}
+		run := Run
+		if l.concurrent {
+			run = RunConcurrent
+		}
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Deliveries, res.NodeRounds, res.SyncRound, agentLogs(agents)
 	}
-	if multi.Deliveries != single.Stats.Deliveries {
-		t.Fatalf("deliveries %d (multihop clique) vs %d (single-hop)", multi.Deliveries, single.Stats.Deliveries)
+	single := func(l leg) (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
+		agents := make([]*diffAgent, n)
+		cfg := &sim.Config{
+			F: f, T: tBudget, Seed: 77,
+			NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+				a := newDiffAgent(r, f)
+				agents[id] = a
+				return a
+			},
+			Schedule:       sim.Simultaneous{Count: n},
+			Adversary:      adversary.NewPrefix(f, tBudget),
+			MaxRounds:      300,
+			RunToMaxRounds: true,
+			Workers:        l.workers,
+		}
+		run := sim.Run
+		if l.concurrent {
+			run = sim.RunConcurrent
+		}
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Deliveries, res.Stats.NodeRounds, res.SyncRound, agentLogs(agents)
 	}
-	if multi.NodeRounds != single.Stats.NodeRounds {
-		t.Fatalf("node-rounds %d vs %d", multi.NodeRounds, single.Stats.NodeRounds)
+	wantDel, wantNR, wantSync, wantHeard := single(legs[0])
+	if wantDel == 0 {
+		t.Fatal("reference run delivered nothing; the comparison is vacuous")
 	}
-	for i := 0; i < n; i++ {
-		if multi.SyncRound[i] != single.SyncRound[i] {
-			t.Fatalf("node %d synced at %d vs %d", i, multi.SyncRound[i], single.SyncRound[i])
+	for _, l := range legs {
+		for _, driver := range []struct {
+			name string
+			run  func(leg) (uint64, uint64, []uint64, [][]uint64)
+		}{{"multihop", multi}, {"sim", single}} {
+			del, nr, sync, heard := driver.run(l)
+			where := driver.name + "/" + l.name
+			if del != wantDel {
+				t.Fatalf("%s: deliveries %d vs %d (single-hop serial)", where, del, wantDel)
+			}
+			if nr != wantNR {
+				t.Fatalf("%s: node-rounds %d vs %d", where, nr, wantNR)
+			}
+			for i := 0; i < n; i++ {
+				if sync[i] != wantSync[i] {
+					t.Fatalf("%s: node %d synced at %d vs %d", where, i, sync[i], wantSync[i])
+				}
+			}
+			for i := 0; i < n; i++ {
+				if len(heard[i]) != len(wantHeard[i]) {
+					t.Fatalf("%s: node %d heard %d vs %d", where, i, len(heard[i]), len(wantHeard[i]))
+				}
+				for j := range heard[i] {
+					if heard[i][j] != wantHeard[i][j] {
+						t.Fatalf("%s: node %d reception %d: uid %d vs %d", where, i, j, heard[i][j], wantHeard[i][j])
+					}
+				}
+			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		a, b := multiAgents[i], singleAgents[i]
-		if len(a.heard) != len(b.heard) {
-			t.Fatalf("node %d heard %d vs %d", i, len(a.heard), len(b.heard))
+}
+
+// agentLogs collects every agent's reception log (nil for agents never
+// constructed).
+func agentLogs(agents []*diffAgent) [][]uint64 {
+	heard := make([][]uint64, len(agents))
+	for i, a := range agents {
+		if a != nil {
+			heard[i] = a.heard
 		}
 	}
+	return heard
 }

@@ -9,17 +9,20 @@
 // hear each other (the hidden-terminal effect). The adversary jams up to t
 // frequencies per round network-wide.
 //
-// The engine shares its activation and frequency-indexing machinery with
-// the single-hop simulator through internal/medium. On the default path
+// The package has no round loop of its own. Run and RunConcurrent are
+// thin drivers over internal/sim's round core (sim.RunGraph): they
+// validate and translate Config into a sim.Config, apply churn deltas to
+// a private clone of the topology from the core's per-round graph hook,
+// and project the core's result onto Result. On the default path
 // (Config.Medium zero value) each round costs O(active): one pass over
 // the awake nodes builds per-frequency transmitter buckets, and a
 // listener's reception is resolved by intersecting its frequency's bucket
 // with its neighborhood — bucket-walk or neighbor-walk, whichever side is
 // smaller. The complete graph (Clique) is exactly the single-hop model,
-// which TestCliqueMatchesSingleHop pins against internal/sim. The legacy
-// per-receiver full neighbor scan survives behind sim.MediumScan as the
-// differential-testing oracle (TestMultihopMediumDifferential), mirroring
-// the single-hop engine's resolver pair.
+// which TestCliqueMatchesSingleHop and TestMultihopCliqueMatchesSimIndexed
+// pin against sim.Run and sim.RunConcurrent. The legacy per-receiver full
+// neighbor scan survives behind sim.MediumScan as the differential-testing
+// oracle (TestMultihopMediumDifferential).
 //
 // Topologies cover lines, grids, cliques, and random geometric graphs
 // (RandomGeometric, with RandomGeometricConnected retrying samples until
@@ -27,7 +30,7 @@
 // x-axis of the X7 convergence sweep, which climbs geometric graphs to
 // N=4096 under the -full tier.
 //
-// On top of the engine, RelayNode extends the Trapdoor Protocol across
+// On top of the drivers, RelayNode extends the Trapdoor Protocol across
 // hops: nodes compete locally exactly as in the single-hop protocol, and
 // every node that adopts a numbering becomes a relay that re-announces it.
 // Conflicting schemes from independent regional elections are merged by

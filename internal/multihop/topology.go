@@ -10,7 +10,7 @@ import (
 
 // Topology is an undirected communication graph over nodes 0..N-1. Every
 // constructor returns adjacency lists in ascending neighbor order — the
-// deterministic order engine traces depend on and the sorted invariant
+// deterministic order round traces depend on and the sorted invariant
 // the indexed medium resolver binary-searches on its bucket-walk path.
 type Topology struct {
 	n   int
@@ -85,7 +85,7 @@ func (t *Topology) HasEdge(a, b int) bool {
 // present); inserting a present edge is a no-op returning false. Amortized
 // cost is O(degree) per endpoint with no allocation once the adjacency
 // slices have grown to their working capacity, which is what keeps churned
-// rounds on the engines' zero-alloc steady-state path.
+// rounds on the round core's zero-alloc steady-state path.
 func (t *Topology) InsertEdge(a, b int) bool {
 	if a == b {
 		panic("multihop: self-loop")
@@ -138,9 +138,9 @@ func removeSortedAt(s []int, i int) []int {
 	return s[:len(s)-1]
 }
 
-// Clone deep-copies a sealed topology. Engines that churn edges clone the
-// configured topology so per-round delta mutations never reach the
-// caller's graph (which may be shared across trials).
+// Clone deep-copies a sealed topology. Churned runs clone the configured
+// topology so per-round delta mutations never reach the caller's graph
+// (which may be shared across trials).
 func (t *Topology) Clone() *Topology {
 	c := &Topology{n: t.n, adj: make([][]int, t.n)}
 	for i, nbrs := range t.adj {
@@ -223,7 +223,7 @@ func Grid(w, h int) *Topology {
 }
 
 // Clique returns the complete graph — the single-hop special case, used to
-// validate the engine against the single-hop simulator's semantics.
+// validate graph resolution against the single-hop model's semantics.
 func Clique(n int) *Topology {
 	if n < 1 {
 		panic("multihop: Clique needs n >= 1")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wsync/internal/freqset"
+	"wsync/internal/medium"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 )
@@ -13,8 +14,9 @@ import (
 // buffer has grown to its working size — performs zero heap allocations.
 // The test is white-box (package sim) because the unit under test is
 // engine.runRound, not the public Run wrapper; it cannot use package
-// adversary (which imports sim), so it carries a local random jammer
-// mirroring adversary.Random.
+// adversary or multihop (which import sim), so it carries a local random
+// jammer mirroring adversary.Random and a local grid and edge-flip hook
+// mirroring multihop.Grid and churn.Flip.
 
 // allocJammer is adversary.Random re-implemented without the import
 // cycle: a fresh uniform t-subset per round, drawn allocation-free via
@@ -126,19 +128,115 @@ func newAllocCompleteGraph(n int) *allocCompleteGraph {
 func (g *allocCompleteGraph) N() int                { return len(g.adj) }
 func (g *allocCompleteGraph) Neighbors(i int) []int { return g.adj[i] }
 
-// TestSteadyStateAllocs drives the single-hop round loop past warm-up on
-// both medium paths and requires exactly zero allocations per round. The
-// churned variant additionally swaps the resolver's graph every round
-// (complete graph in, nil back out) — the single-hop half of the
-// dynamic-topology contract: per-round SetGraph swaps on a live engine
-// are allocation-free once warm.
+// allocGrid is multihop.Grid re-implemented without the import cycle
+// (internal/multihop imports this package): the w×h grid with
+// 4-neighborhoods, adjacency lists ascending.
+type allocGrid struct {
+	adj [][]int
+}
+
+func newAllocGrid(w, h int) *allocGrid {
+	g := &allocGrid{adj: make([][]int, w*h)}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			if y > 0 {
+				g.adj[i] = append(g.adj[i], i-w)
+			}
+			if x > 0 {
+				g.adj[i] = append(g.adj[i], i-1)
+			}
+			if x+1 < w {
+				g.adj[i] = append(g.adj[i], i+1)
+			}
+			if y+1 < h {
+				g.adj[i] = append(g.adj[i], i+w)
+			}
+		}
+	}
+	return g
+}
+
+func (g *allocGrid) N() int                { return len(g.adj) }
+func (g *allocGrid) Neighbors(i int) []int { return g.adj[i] }
+
+// allocFlip is the per-round graph hook multihop's churn driver installs,
+// reduced to churn.Flip: from round 2 on, every base edge independently
+// toggles presence each round, patched into the grid's sorted adjacency in
+// place. Degree never exceeds the base graph's, so the adjacency slices
+// never outgrow their initial capacity.
+type allocFlip struct {
+	g     *allocGrid
+	edges [][2]int
+	on    []bool
+	rate  float64
+	r     *rng.Rand
+	flips int
+}
+
+func newAllocFlip(g *allocGrid, rate float64, seed uint64) *allocFlip {
+	m := &allocFlip{g: g, rate: rate, r: rng.New(seed)}
+	for a, nbrs := range g.adj {
+		for _, b := range nbrs {
+			if b > a {
+				m.edges = append(m.edges, [2]int{a, b})
+				m.on = append(m.on, true)
+			}
+		}
+	}
+	return m
+}
+
+func (m *allocFlip) graphAt(r uint64) medium.Graph {
+	if r < 2 {
+		return m.g
+	}
+	adj := m.g.adj
+	for k, ed := range m.edges {
+		if !m.r.Bernoulli(m.rate) {
+			continue
+		}
+		a, b := ed[0], ed[1]
+		if m.on[k] {
+			adj[a], adj[b] = removeSorted(adj[a], b), removeSorted(adj[b], a)
+		} else {
+			adj[a], adj[b] = insertSorted(adj[a], b), insertSorted(adj[b], a)
+		}
+		m.on[k] = !m.on[k]
+		m.flips++
+	}
+	return m.g
+}
+
+// removeSorted deletes x from ascending slice s in place.
+func removeSorted(s []int, x int) []int {
+	for j, v := range s {
+		if v == x {
+			copy(s[j:], s[j+1:])
+			return s[:len(s)-1]
+		}
+	}
+	return s
+}
+
+// TestSteadyStateAllocs drives the round loop past warm-up on both medium
+// paths and requires exactly zero allocations per round. The churned
+// variant additionally swaps the resolver's graph every round (complete
+// graph in, nil back out): per-round SetGraph swaps on a live engine are
+// allocation-free once warm. The graph variants run the same core on an
+// 8×8 grid, as multihop's drivers do; graph-churned installs a per-round
+// edge-flip hook, the dynamic-topology path churned multihop runs take.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
 		m     MediumPath
 		churn bool
+		graph bool
 	}{{name: "indexed", m: MediumIndexed}, {name: "scan", m: MediumScan},
-		{name: "churned", m: MediumIndexed, churn: true}} {
+		{name: "churned", m: MediumIndexed, churn: true},
+		{name: "graph-indexed", m: MediumIndexed, graph: true},
+		{name: "graph-scan", m: MediumScan, graph: true},
+		{name: "graph-churned", m: MediumIndexed, graph: true, churn: true}} {
 		t.Run(path.name, func(t *testing.T) {
 			const f, jam, n = 16, 4, 64
 			cfg := &Config{
@@ -156,20 +254,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 				Medium:         path.m,
 			}
 			cfg.Schedule = Simultaneous{Count: n}
-			e, err := newEngine(cfg)
+			var graph medium.Graph
+			var flip *allocFlip
+			if path.graph {
+				grid := newAllocGrid(8, 8)
+				graph = grid
+				if path.churn {
+					flip = newAllocFlip(grid, 0.2, 123)
+				}
+			}
+			e, err := newEngine(cfg, graph)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if flip != nil {
+				e.graphAt = flip.graphAt
 			}
 			// Warm-up: activate everyone and let every growable buffer
 			// (active list, touched/listener/pending lists, the round
 			// record) reach its working capacity.
 			var complete *allocCompleteGraph
-			if path.churn {
+			swap := path.churn && !path.graph
+			if swap {
 				complete = newAllocCompleteGraph(n)
 			}
 			r := uint64(0)
 			for ; r < 64; r++ {
-				if path.churn {
+				if swap {
 					if r%2 == 0 {
 						e.med.SetGraph(complete)
 					} else {
@@ -180,7 +291,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				r++
-				if path.churn {
+				if swap {
 					if r%2 == 0 {
 						e.med.SetGraph(complete)
 					} else {
@@ -192,6 +303,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
 			}
+			if flip != nil && flip.flips == 0 {
+				t.Fatal("graph-churned subtest never flipped an edge; the alloc check ran vacuously")
+			}
 		})
 	}
 }
@@ -202,13 +316,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 // allocates nothing either. Warm-up activates the bulk of the population;
 // four stragglers then activate inside the measured window, exercising
 // Wake, arena construction, and cohort insertion (batch variant) or the
-// sorted solo list (solo variant) under AllocsPerRun.
+// sorted solo list (solo variant) under AllocsPerRun. The graph variant
+// runs the straggler wave on an 8×8 grid, the multihop activation path.
 func TestActivationRoundAllocs(t *testing.T) {
 	const f, jam, n = 16, 4, 64
 	for _, tc := range []struct {
-		name string
-		solo bool
-	}{{name: "batch"}, {name: "solo", solo: true}} {
+		name  string
+		solo  bool
+		graph bool
+	}{{name: "batch"}, {name: "solo", solo: true}, {name: "graph", graph: true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := make(allocSchedule, n)
 			for i := range sched {
@@ -229,7 +345,11 @@ func TestActivationRoundAllocs(t *testing.T) {
 				RunToMaxRounds: true,
 				Schedule:       sched,
 			}
-			e, err := newEngine(cfg)
+			var graph medium.Graph
+			if tc.graph {
+				graph = newAllocGrid(8, 8)
+			}
+			e, err := newEngine(cfg, graph)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,8 +364,8 @@ func TestActivationRoundAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("activation-inclusive round allocates %.1f objects, want 0", allocs)
 			}
-			if e.activatedCount != n {
-				t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", e.activatedCount, n)
+			if got := len(e.act.Active()); got != n {
+				t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", got, n)
 			}
 		})
 	}

@@ -2,18 +2,25 @@ package sim
 
 import "sync"
 
-// phase identifies the two barrier-separated parts of a round executed by
-// worker goroutines.
-type phase int
-
-const (
-	phaseStep phase = iota + 1
-	phaseDeliver
-)
-
+// workerCmd starts one barrier-separated half of a round on a worker:
+// activation and Step, or (deliver set) Deliver and Output.
 type workerCmd struct {
-	phase phase
-	round uint64
+	round   uint64
+	deliver bool
+}
+
+// workerPool is the concurrent form of the round core: worker w owns the
+// nodes i with i % stride == w and runs their activation, Step, Deliver,
+// and Output calls, while everything with cross-node extent — the graph
+// hook, the adversary, medium resolution, observers — stays on the
+// coordinating goroutine between the two barriers.
+type workerPool struct {
+	cmds []chan workerCmd
+	done chan struct{}
+	wg   sync.WaitGroup
+	// outs[i] is node i's post-delivery output, written by its worker in
+	// the deliver phase.
+	outs []Output
 }
 
 // RunConcurrent executes the simulation with node agents distributed over
@@ -21,102 +28,75 @@ type workerCmd struct {
 // goroutine-per-agent mapping). The execution is deterministic and produces
 // exactly the same Result as Run for the same Config: agents only ever
 // touch per-node state, and medium resolution happens on the coordinating
-// goroutine between two barriers.
+// goroutine between two barriers. Cohort batch-stepping does not apply
+// (workers step per node); the two dispatches are bit-identical.
 //
 // cfg.NewAgent may be invoked from worker goroutines, concurrently for
 // distinct node IDs.
-func RunConcurrent(cfg *Config) (*Result, error) {
-	e, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 || workers > e.n {
-		workers = e.n
-	}
+func RunConcurrent(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil, true)) }
 
-	outScratch := make([]Output, e.n)
-	cmds := make([]chan workerCmd, workers)
-	done := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+// startWorkers switches the engine to the concurrent path and returns the
+// function that stops the workers.
+func (e *engine) startWorkers() (stop func()) {
+	stride := e.cfg.Workers
+	if stride <= 0 || stride > e.n {
+		stride = e.n
+	}
+	p := &workerPool{
+		cmds: make([]chan workerCmd, stride),
+		done: make(chan struct{}, stride),
+		outs: make([]Output, e.n),
+	}
+	for w := range p.cmds {
+		p.cmds[w] = make(chan workerCmd)
+		p.wg.Add(1)
+		go e.work(p, w, stride)
+	}
+	e.workers = p
+	return func() {
+		for _, c := range p.cmds {
+			close(c)
+		}
+		p.wg.Wait()
+	}
+}
 
-	runWorker := func(w int, cmdC chan workerCmd) {
-		defer wg.Done()
-		// Worker w owns nodes i with i % workers == w. All slices are
-		// indexed per node, so writes are disjoint across workers; the
-		// channel operations order them against the coordinator's reads.
-		for cmd := range cmdC {
-			switch cmd.phase {
-			case phaseStep:
-				for i := w; i < e.n; i += workers {
-					if !e.active[i] {
-						if e.activation[i] != cmd.round {
-							continue
-						}
-						e.active[i] = true
-						e.agents[i] = e.cfg.NewAgent(NodeID(i), cmd.round, &e.agentRNG[i])
-					}
-					e.probeWeight(i)
-					e.stepAgent(i, cmd.round)
-				}
-			case phaseDeliver:
-				for i := w; i < e.n; i += workers {
-					if !e.active[i] {
-						continue
-					}
+// work is worker w's loop. All slices are indexed per node, so writes are
+// disjoint across workers; the channel operations order them against the
+// coordinator's reads.
+func (e *engine) work(p *workerPool, w, stride int) {
+	defer p.wg.Done()
+	for cmd := range p.cmds[w] {
+		for i := w; i < e.n; i += stride {
+			if cmd.deliver {
+				if e.active[i] {
 					if e.hasPending[i] {
 						e.agents[i].Deliver(e.pending[i])
 					}
-					outScratch[i] = e.agents[i].Output()
+					p.outs[i] = e.agents[i].Output()
 				}
+				continue
 			}
-			done <- struct{}{}
-		}
-	}
-
-	for w := 0; w < workers; w++ {
-		cmds[w] = make(chan workerCmd)
-		wg.Add(1)
-		go runWorker(w, cmds[w])
-	}
-	stopWorkers := func() {
-		for _, c := range cmds {
-			close(c)
-		}
-		wg.Wait()
-	}
-	defer stopWorkers()
-
-	barrier := func(cmd workerCmd) {
-		for _, c := range cmds {
-			c <- cmd
-		}
-		for range cmds {
-			<-done
-		}
-	}
-
-	limit := e.maxRounds()
-	for r := uint64(1); r <= limit; r++ {
-		// Activation bookkeeping happens here so the adversary's history
-		// view and the resolver's active list are current; agent
-		// construction and the active flags happen in workers.
-		e.noteActivations(r)
-		disrupted := e.disruptedSet(r)
-		barrier(workerCmd{phase: phaseStep, round: r})
-		e.resolve(r, disrupted)
-		barrier(workerCmd{phase: phaseDeliver, round: r})
-		for _, i := range e.act.Active() {
-			out := outScratch[i]
-			e.rec.Outputs[i] = out
-			if out.Synced && e.res.SyncRound[i] == 0 {
-				e.res.SyncRound[i] = r
-				e.syncedCount++
+			if !e.active[i] {
+				if e.activation[i] != cmd.round {
+					continue
+				}
+				e.active[i] = true
+				e.agents[i] = e.cfg.NewAgent(NodeID(i), cmd.round, &e.agentRNG[i])
 			}
+			e.probeWeight(i)
+			e.stepAgent(i, cmd.round)
 		}
-		if e.observeAndCheckStop(r) {
-			return e.finalize(false), nil
-		}
+		p.done <- struct{}{}
 	}
-	return e.finalize(true), nil
+}
+
+// barrier runs one phase on every worker and waits for all of them.
+func (p *workerPool) barrier(cmd workerCmd) {
+	for _, c := range p.cmds {
+		c <- cmd
+	}
+	for range p.cmds {
+		<-p.done
+	}
 }

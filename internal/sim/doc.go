@@ -11,22 +11,34 @@
 // transmission. Nodes are activated at schedule-determined rounds and run
 // local round counters starting at activation.
 //
-// The package provides two engines over the same Config: Run executes nodes
-// sequentially in one goroutine; RunConcurrent gives every node agent its
-// own goroutine synchronized by round barriers. Both are deterministic
-// given the same Config and produce identical Results, which a test
-// verifies; the concurrent engine exists because node agents map naturally
-// onto goroutines and it parallelizes expensive per-node work.
+// The package holds the one round core every Section 2 engine runs on, in
+// two forms over the same Config: Run executes nodes sequentially in one
+// goroutine; RunConcurrent gives every node agent its own goroutine (or
+// Config.Workers of them) synchronized by round barriers. Both are
+// deterministic given the same Config and produce identical Results,
+// which a test verifies; the concurrent form exists because node agents
+// map naturally onto goroutines and it parallelizes expensive per-node
+// work.
 //
-// Orthogonally to the engine choice, Config.Medium selects how the shared
+// The core is parameterized by topology. Run and RunConcurrent resolve on
+// the complete graph (a nil medium.Graph), the single-hop model above.
+// RunGraph runs the same loop, serial or concurrent, on an explicit
+// communication graph, where a listener hears only its neighbors, with
+// an optional per-round graph hook for dynamic topologies; it is the
+// entry point of the multi-hop drivers in internal/multihop. Work only
+// the single-hop model needs (per-frequency classification, Clear and
+// FirstClear, History.Last) runs only on the complete graph, and on a
+// graph round records are built only when observers are present.
+//
+// Orthogonally to the engine choice, Config.Medium selects how the
 // medium is resolved each round. The default frequency-indexed path —
 // activation buckets, the sorted awake list, and per-frequency indexing
-// shared with the multi-hop engine through internal/medium, used here on
-// its complete-graph fast path — buckets broadcasters and listeners by
-// frequency using only the awake nodes, so a round costs O(active)
-// independent of F and N: the property that makes the -full sweep grids
-// (N up to 16384, F up to 128) tractable. The legacy full-scan resolver
-// (MediumScan) survives as a differential-testing oracle;
-// TestMediumDifferential proves the two paths bit-identical in every
-// observable over randomized schedules.
+// from internal/medium — buckets broadcasters and listeners by frequency
+// using only the awake nodes, so a round costs O(active) independent of
+// F and N: the property that makes the -full sweep grids (N up to 16384,
+// F up to 128) tractable. The legacy full-scan resolvers (MediumScan) for
+// the complete graph and for explicit graphs survive as
+// differential-testing oracles; TestMediumDifferential and multihop's
+// TestMultihopMediumDifferential prove the two paths bit-identical in
+// every observable over randomized schedules and topologies.
 package sim

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -17,27 +18,29 @@ import (
 var totalNodeRounds atomic.Uint64
 
 // TotalNodeRounds returns the process-wide count of active node-rounds
-// executed by completed engine runs (sequential and concurrent). The count
-// is deterministic for a deterministic workload: it never depends on
+// executed by completed Run and RunConcurrent calls. Graph runs (RunGraph)
+// are not included; their drivers keep their own count. The count is
+// deterministic for a deterministic workload: it never depends on
 // scheduling or parallelism.
 func TotalNodeRounds() uint64 { return totalNodeRounds.Load() }
 
-// engine holds the state shared by the sequential and concurrent run modes.
-// The two modes differ only in how per-node Step and Deliver calls are
-// dispatched; resolution of the medium is identical and order-independent.
+// engine is the one round core behind every driver: Run and RunConcurrent
+// on the complete graph, and RunGraph (multihop's drivers) on an explicit
+// communication graph. The serial and concurrent forms differ only in how
+// per-node activation, Step, and Deliver calls are dispatched; resolution
+// of the medium is identical and order-independent.
 type engine struct {
 	cfg *Config
 	n   int
 
-	agents        []Agent    // nil until activation
-	activation    []uint64   // per node
-	agentRNG      []rng.Rand // one contiguous slab, pre-split at build
-	maxActivation uint64
+	agents     []Agent    // nil until activation
+	activation []uint64   // per node
+	agentRNG   []rng.Rand // one contiguous slab, pre-split at build
 
 	// batch groups awake nodes into same-constructor cohorts (BatchAgent);
-	// the sequential round loop steps each cohort with one devirtualized
+	// the serial round loop steps each cohort with one devirtualized
 	// StepBatch call and falls back to per-node Step for the rest.
-	batch *BatchCohorts
+	batch *batchCohorts
 
 	// Per-node action state in struct-of-arrays layout: the medium
 	// resolvers' classification loops touch only the packed frequency and
@@ -52,11 +55,17 @@ type engine struct {
 	active  []bool        // per node
 
 	// act tracks activation buckets and the sorted awake list; med is the
-	// shared frequency-indexed resolver (internal/medium) on its
-	// complete-graph fast path. Together they make per-round activation
-	// and medium resolution cost O(awake), not O(F + N).
+	// shared frequency-indexed resolver (internal/medium). Together they
+	// make per-round activation and medium resolution cost O(awake), not
+	// O(F + N).
 	act *medium.Activation
 	med *medium.Resolver
+
+	// graph is the communication graph this round resolves on; nil is the
+	// complete graph (the single-hop model). graphAt, when set, supplies
+	// each round's graph before activation — the dynamic-topology hook.
+	graph   medium.Graph
+	graphAt func(r uint64) medium.Graph
 
 	// pending delivery per node for the current round; pendingList names
 	// the nodes with hasPending set, in ascending order.
@@ -77,11 +86,20 @@ type engine struct {
 	rec  RoundRecord
 	res  Result
 
-	syncedCount    int
-	activatedCount int
+	// record gates building rec's actions, deliveries, and outputs. It is
+	// always set on the complete graph, where History.Last hands the
+	// record to adversaries, and on a graph only when observers are
+	// present, so unobserved graph runs pay only dead branch checks.
+	record bool
+
+	// workers runs the per-node halves of each round on goroutines; nil on
+	// the serial path.
+	workers *workerPool
+
+	syncedCount int
 }
 
-func newEngine(cfg *Config) (*engine, error) {
+func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,7 +117,9 @@ func newEngine(cfg *Config) (*engine, error) {
 		pending:    make([]msg.Message, n),
 		hasPending: make([]bool, n),
 		emptySet:   freqset.New(cfg.F),
-		batch:      NewBatchCohorts(n, cfg.NoBatch),
+		batch:      newBatchCohorts(n, cfg.NoBatch),
+		graph:      graph,
+		record:     graph == nil || len(cfg.Observers) > 0,
 	}
 	master := rng.New(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -107,19 +127,20 @@ func newEngine(cfg *Config) (*engine, error) {
 		master.SplitInto(uint64(i), &e.agentRNG[i])
 	}
 	e.act = medium.NewActivation(e.activation)
-	e.maxActivation = e.act.Max()
-	e.med = medium.NewResolver(cfg.F, n, nil)
+	e.med = medium.NewResolver(cfg.F, n, graph)
 	e.hist = History{
 		F:         cfg.F,
 		Activated: make([]uint64, n),
 		Received:  make([]bool, n),
 	}
-	e.rec = RoundRecord{
-		Disrupted:  e.emptySet,
-		Actions:    make([]ActionRecord, 0, n),
-		Deliveries: make([]Delivery, 0, n),
-		Clear:      make([]int, 0, 4),
-		Outputs:    make([]Output, n),
+	if e.record {
+		e.rec = RoundRecord{
+			Disrupted:  e.emptySet,
+			Actions:    make([]ActionRecord, 0, n),
+			Deliveries: make([]Delivery, 0, n),
+			Clear:      make([]int, 0, 4),
+			Outputs:    make([]Output, n),
+		}
 	}
 	if cfg.ProbeWeights {
 		e.rec.Weights = make([]float64, n)
@@ -132,40 +153,24 @@ func newEngine(cfg *Config) (*engine, error) {
 	return e, nil
 }
 
-func (e *engine) maxRounds() uint64 {
-	if e.cfg.MaxRounds > 0 {
-		return e.cfg.MaxRounds
-	}
-	return DefaultMaxRounds
-}
-
-// activateRound brings up any nodes scheduled for round r. It is used by
-// the sequential engine; the concurrent engine constructs agents inside
-// workers and calls noteActivations instead.
+// activateRound brings up any nodes scheduled for round r. On the
+// concurrent path it does only the bookkeeping; the workers construct
+// their own nodes' agents and flip their active flags.
 func (e *engine) activateRound(r uint64) {
 	for _, i := range e.act.Wake(r) {
-		e.active[i] = true
-		a := e.cfg.NewAgent(NodeID(i), r, &e.agentRNG[i])
-		e.agents[i] = a
-		e.batch.Add(i, a)
 		e.hist.Activated[i] = r
-		e.activatedCount++
+		if e.workers == nil {
+			e.active[i] = true
+			a := e.cfg.NewAgent(NodeID(i), r, &e.agentRNG[i])
+			e.agents[i] = a
+			e.batch.Add(i, a)
+		}
 	}
 }
 
-// noteActivations performs the activation bookkeeping for round r without
-// constructing agents or flipping the active flags (RunConcurrent's workers
-// do both, in parallel, per owned node).
-func (e *engine) noteActivations(r uint64) {
-	for _, i := range e.act.Wake(r) {
-		e.hist.Activated[i] = r
-		e.activatedCount++
-	}
-}
-
-// resolve applies the medium semantics for round r given e.actions for all
-// active nodes, filling e.rec and the pending delivery buffers. disrupted
-// is the adversary's validated set. The two implementations are
+// resolve applies the medium semantics for round r given the action state
+// of all active nodes, filling e.rec and the pending delivery buffers.
+// disrupted is the adversary's validated set. The two implementations are
 // bit-identical in every observable (records, stats, delivery order); see
 // MediumPath.
 func (e *engine) resolve(r uint64, disrupted *freqset.Set) {
@@ -203,9 +208,9 @@ func (e *engine) badFreq(i int, freq int) {
 }
 
 // resolveScan is the legacy medium resolver: every round it zeroes and
-// classifies all F frequency slots and walks all N schedule slots twice.
-// It is kept verbatim as the differential-testing oracle for the indexed
-// path.
+// classifies all F frequency slots and walks all N schedule slots twice
+// (on a graph, each listener walks its whole neighbor list). It is kept
+// verbatim as the differential-testing oracle for the indexed path.
 func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
 	rec := &e.rec
 	if e.txCount == nil {
@@ -223,12 +228,40 @@ func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
 		if f < 1 || f > e.cfg.F {
 			e.badFreq(i, f)
 		}
-		rec.Actions = append(rec.Actions, ActionRecord{Node: NodeID(i), Freq: f, Transmit: tx})
+		if e.record {
+			rec.Actions = append(rec.Actions, ActionRecord{Node: NodeID(i), Freq: f, Transmit: tx})
+		}
 		if tx {
 			e.txCount[f]++
 			e.txFrom[f] = NodeID(i)
 			e.res.Stats.Transmissions++
 		}
+	}
+
+	if e.graph != nil {
+		for i := 0; i < e.n; i++ {
+			if !e.active[i] || e.actTx[i] {
+				continue
+			}
+			f := int(e.actFreq[i])
+			from, count := -1, 0
+			for _, w := range e.graph.Neighbors(i) {
+				if e.active[w] && e.actTx[w] && int(e.actFreq[w]) == f {
+					count++
+					from = w
+				}
+			}
+			switch {
+			case count == 0:
+			case count >= 2:
+				e.res.Stats.Collisions++
+			case disrupted.Contains(f):
+				// jammed: nothing heard
+			default:
+				e.queueDelivery(i, f, NodeID(from))
+			}
+		}
+		return
 	}
 
 	// Classify frequencies and queue deliveries.
@@ -261,27 +294,52 @@ func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
 }
 
 // resolveIndexed is the frequency-indexed fast path: one pass over the
-// awake nodes feeds the shared resolver (internal/medium) on its
-// complete-graph path, then only the frequencies actually touched this
-// round are classified and re-zeroed. Per-round cost is
-// O(active · log active) (the log is the touched-frequency sort that
-// preserves the scan path's ascending Clear order) — independent of F
-// and N.
+// awake nodes feeds the shared resolver (internal/medium). On the complete
+// graph only the frequencies actually touched this round are classified
+// and re-zeroed, at O(active · log active) per round (the log is the
+// touched-frequency sort that preserves the scan path's ascending Clear
+// order) — independent of F and N. On a graph each listener's reception
+// is resolved by intersecting its frequency's transmitter bucket with its
+// neighborhood.
 func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 	rec := &e.rec
 	med := e.med
+	fMax, record := e.cfg.F, e.record
+	var transmissions uint64
 	for _, i := range e.act.Active() {
 		f, tx := int(e.actFreq[i]), e.actTx[i]
-		if f < 1 || f > e.cfg.F {
+		if f < 1 || f > fMax {
 			e.badFreq(i, f)
 		}
-		rec.Actions = append(rec.Actions, ActionRecord{Node: NodeID(i), Freq: f, Transmit: tx})
+		if record {
+			rec.Actions = append(rec.Actions, ActionRecord{Node: NodeID(i), Freq: f, Transmit: tx})
+		}
 		if tx {
 			med.Transmit(i, f)
-			e.res.Stats.Transmissions++
+			transmissions++
 		} else {
 			med.Listen(i)
 		}
+	}
+	e.res.Stats.Transmissions += transmissions
+
+	if e.graph != nil {
+		// Collisions count per receiver: two transmitting neighbors collide
+		// at a listener even if they cannot hear each other.
+		for _, i := range med.Listeners() {
+			f := int(e.actFreq[i])
+			switch from, count := med.Receive(i, f); {
+			case count == 0:
+			case count >= 2:
+				e.res.Stats.Collisions++
+			case disrupted.Contains(f):
+				// jammed: nothing heard
+			default:
+				e.queueDelivery(i, f, NodeID(from))
+			}
+		}
+		med.Reset()
+		return
 	}
 
 	// Classify the touched frequencies in ascending order, matching the
@@ -315,17 +373,23 @@ func (e *engine) queueDelivery(i int, f int, from NodeID) {
 	e.hasPending[i] = true
 	e.pendingList = append(e.pendingList, i)
 	e.hist.Received[i] = true
-	e.rec.Deliveries = append(e.rec.Deliveries, Delivery{From: from, To: NodeID(i), Freq: f})
+	if e.record {
+		e.rec.Deliveries = append(e.rec.Deliveries, Delivery{From: from, To: NodeID(i), Freq: f})
+	}
 	e.res.Stats.Deliveries++
 }
 
 // deliverable returns the message node `from` transmitted this round,
 // optionally forced through the wire codec.
 func (e *engine) deliverable(from NodeID) msg.Message {
-	m := e.actMsg[from]
-	if !e.cfg.WireFidelity {
-		return m
+	if e.cfg.WireFidelity {
+		return wireRoundTrip(from, e.actMsg[from])
 	}
+	return e.actMsg[from]
+}
+
+// wireRoundTrip forces node from's message m through the binary codec.
+func wireRoundTrip(from NodeID, m msg.Message) msg.Message {
 	data, err := msg.Encode(m)
 	if err != nil {
 		panic(fmt.Sprintf("sim: node %d transmitted unencodable message: %v", from, err))
@@ -339,24 +403,42 @@ func (e *engine) deliverable(from NodeID) msg.Message {
 
 // recordOutputs stores post-round outputs and updates sync bookkeeping.
 // Inactive nodes' entries stay the zero Output they were allocated with
-// (nodes never deactivate), so only awake nodes need visiting.
+// (nodes never deactivate), so only awake nodes need visiting; without a
+// record to fill, synchronized nodes need no visit either.
 func (e *engine) recordOutputs(r uint64) {
+	record, syncRound := e.record, e.res.SyncRound
+	var collected []Output // the workers' outputs on the concurrent path
+	if e.workers != nil {
+		collected = e.workers.outs
+	}
 	for _, i := range e.act.Active() {
-		out := e.agents[i].Output()
-		e.rec.Outputs[i] = out
-		if out.Synced && e.res.SyncRound[i] == 0 {
-			e.res.SyncRound[i] = r
+		if !record && syncRound[i] != 0 {
+			continue
+		}
+		var out Output
+		if collected != nil {
+			out = collected[i]
+		} else {
+			out = e.agents[i].Output()
+		}
+		if record {
+			e.rec.Outputs[i] = out
+		}
+		if out.Synced && syncRound[i] == 0 {
+			syncRound[i] = r
 			e.syncedCount++
 		}
 	}
 }
 
-// finishRound validates the adversary's set, runs observers, and reports
-// whether the run should stop after round r.
+// observeAndCheckStop runs observers and reports whether the run should
+// stop after round r.
 func (e *engine) observeAndCheckStop(r uint64) bool {
 	e.res.Stats.Rounds = r
 	e.hist.Completed = r
-	e.hist.Last = &e.rec
+	if e.graph == nil {
+		e.hist.Last = &e.rec
+	}
 	for _, ob := range e.cfg.Observers {
 		ob.ObserveRound(&e.rec)
 	}
@@ -366,7 +448,8 @@ func (e *engine) observeAndCheckStop(r uint64) bool {
 	if e.cfg.RunToMaxRounds {
 		return false
 	}
-	return r >= e.maxActivation && e.syncedCount == e.n
+	// Every node synchronized implies every node activated.
+	return e.syncedCount == e.n
 }
 
 // probeWeight records node i's pre-Step broadcast probability when weight
@@ -399,7 +482,7 @@ func (e *engine) disruptedSet(r uint64) *freqset.Set {
 // finalize fills the summary fields of the result.
 func (e *engine) finalize(hitMax bool) *Result {
 	e.res.HitMaxRounds = hitMax
-	e.res.AllSynced = e.syncedCount == e.n && e.activatedCount == e.n
+	e.res.AllSynced = e.syncedCount == e.n
 	for i := 0; i < e.n; i++ {
 		if e.res.SyncRound[i] != 0 {
 			local := e.res.SyncRound[i] - e.activation[i] + 1
@@ -407,13 +490,10 @@ func (e *engine) finalize(hitMax bool) *Result {
 				e.res.MaxSyncLocal = local
 			}
 		}
-	}
-	for i := 0; i < e.n; i++ {
 		if lr, ok := e.agents[i].(LeaderReporter); ok && lr.IsLeader() {
 			e.res.Leaders++
 		}
 	}
-	totalNodeRounds.Add(e.res.Stats.NodeRounds)
 	return &e.res
 }
 
@@ -429,14 +509,14 @@ func (e *engine) stepAgent(i int, r uint64) {
 	}
 }
 
-// runRound executes one sequential round end to end — activation, the
-// adversary, agent steps, medium resolution, deliveries, and output
-// bookkeeping — and reports whether the run should stop. After warm-up
-// (all nodes awake, every reused buffer at its high-water capacity) a
-// round performs zero heap allocations; TestSteadyStateAllocs pins this.
-func (e *engine) runRound(r uint64) (stop bool) {
-	e.activateRound(r)
-	disrupted := e.disruptedSet(r)
+// step advances every awake node for round r: batched cohorts first, then
+// the per-node fallback — or, on the concurrent path, everything behind
+// the workers' step barrier.
+func (e *engine) step(r uint64) {
+	if e.workers != nil {
+		e.workers.barrier(workerCmd{round: r})
+		return
+	}
 	if e.rec.Weights != nil {
 		for _, i := range e.act.Active() {
 			e.probeWeight(i)
@@ -446,28 +526,93 @@ func (e *engine) runRound(r uint64) (stop bool) {
 	for _, i := range e.batch.Solo() {
 		e.stepAgent(i, r)
 	}
-	e.resolve(r, disrupted)
+}
+
+// deliver hands this round's receptions to their listeners — on the
+// concurrent path behind the workers' deliver barrier, which also
+// collects every awake node's output.
+func (e *engine) deliver(r uint64) {
+	if e.workers != nil {
+		e.workers.barrier(workerCmd{round: r, deliver: true})
+		return
+	}
 	for _, i := range e.pendingList {
 		e.agents[i].Deliver(e.pending[i])
 	}
+}
+
+// runRound executes round r end to end and reports whether the run should
+// stop. After warm-up (all nodes awake, every reused buffer at its
+// high-water capacity) a serial round performs zero heap allocations;
+// TestSteadyStateAllocs pins this.
+func (e *engine) runRound(r uint64) (stop bool) {
+	if e.graphAt != nil {
+		e.graph = e.graphAt(r)
+		e.med.SetGraph(e.graph)
+	}
+	e.activateRound(r)
+	disrupted := e.disruptedSet(r)
+	e.step(r)
+	e.resolve(r, disrupted)
+	e.deliver(r)
 	e.recordOutputs(r)
 	return e.observeAndCheckStop(r)
 }
 
-// Run executes the simulation sequentially and returns its result. It
-// returns an error only for invalid configurations; model violations by
-// protocols or adversaries (out-of-range frequencies, over-budget
-// disruption) panic, as they are programming errors.
-func Run(cfg *Config) (*Result, error) {
-	e, err := newEngine(cfg)
+// run builds the core over graph (nil: the complete graph) and executes
+// rounds until the stop rule fires or the round limit is reached.
+func run(cfg *Config, graph medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
+	e, err := newEngine(cfg, graph)
 	if err != nil {
 		return nil, err
 	}
-	limit := e.maxRounds()
+	e.graphAt = graphAt
+	if concurrent {
+		defer e.startWorkers()()
+	}
+	limit := cfg.MaxRounds
+	if limit == 0 {
+		limit = DefaultMaxRounds
+	}
 	for r := uint64(1); r <= limit; r++ {
 		if e.runRound(r) {
 			return e.finalize(false), nil
 		}
 	}
 	return e.finalize(true), nil
+}
+
+// countNodeRounds adds a completed single-hop run to TotalNodeRounds.
+func countNodeRounds(res *Result, err error) (*Result, error) {
+	if err == nil {
+		totalNodeRounds.Add(res.Stats.NodeRounds)
+	}
+	return res, err
+}
+
+// Run executes the simulation sequentially and returns its result. It
+// returns an error only for invalid configurations; model violations by
+// protocols or adversaries (out-of-range frequencies, over-budget
+// disruption) panic, as they are programming errors.
+func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil, false)) }
+
+// RunGraph executes Run's round loop (RunConcurrent's with concurrent set)
+// on communication graph g instead of the complete graph: a listener on
+// frequency f receives iff exactly one of its neighbors in g transmits on
+// f and f is not disrupted. It is the multihop drivers' entry point.
+// graphAt, if non-nil, returns each round's graph before its activations;
+// it must not return nil, and may return g itself mutated in place.
+//
+// Stats.Collisions counts (receiver, round) pairs with two or more
+// transmitting neighbors; FirstClear, Clear, DisruptedLosses, and
+// ClearBroadcasts stay zero. History.Last stays nil, round records are
+// built only for cfg.Observers, and TotalNodeRounds is not updated.
+func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
+	switch {
+	case g == nil:
+		return nil, errors.New("sim: RunGraph needs a graph")
+	case cfg.Schedule != nil && g.N() != cfg.Schedule.N():
+		return nil, fmt.Errorf("sim: graph has %d nodes, schedule covers %d", g.N(), cfg.Schedule.N())
+	}
+	return run(cfg, g, graphAt, concurrent)
 }

@@ -150,7 +150,7 @@ type Stats struct {
 	Rounds          uint64 // rounds executed
 	NodeRounds      uint64 // active node-rounds executed (Σ over rounds of awake nodes)
 	Transmissions   uint64 // node-round transmissions
-	Collisions      uint64 // (round, freq) pairs with >= 2 transmitters
+	Collisions      uint64 // (round, freq) pairs with >= 2 transmitters; on a graph (RunGraph), (receiver, round) pairs
 	DisruptedLosses uint64 // single-transmitter (round, freq) pairs lost to disruption
 	Deliveries      uint64 // successful receptions (listener count)
 	ClearBroadcasts uint64 // (round, freq) pairs with a clear broadcast
@@ -246,8 +246,8 @@ type Config struct {
 	// depend only on what actually fits in a radio slot. Encoding failures
 	// panic: a protocol emitting unencodable messages is a bug.
 	WireFidelity bool
-	// Workers sets the number of worker goroutines used by RunConcurrent;
-	// 0 means one goroutine per node.
+	// Workers sets the number of worker goroutines used by RunConcurrent
+	// and concurrent RunGraph calls; 0 means one goroutine per node.
 	Workers int
 	// Medium selects the medium-resolution path; the zero value is the
 	// frequency-indexed fast path. MediumScan forces the legacy O(F + N)

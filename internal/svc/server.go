@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -263,12 +264,56 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return false
+// maxRequestBody caps every request body the server decodes. The largest
+// legitimate body is a push of one assignment's entries, and a whole
+// full-tier report encodes to under 64 KiB, so 8 MiB leaves two orders of
+// magnitude of headroom while bounding what one request can make the
+// server buffer.
+const maxRequestBody = 8 << 20
+
+var (
+	// ErrBodyTooLarge rejects a request body over maxRequestBody bytes
+	// (HTTP 413).
+	ErrBodyTooLarge = fmt.Errorf("svc: request body exceeds %d bytes", maxRequestBody)
+	// ErrTrailingData rejects a request body with anything but whitespace
+	// after its JSON value (HTTP 400).
+	ErrTrailingData = errors.New("svc: data after the JSON request body")
+)
+
+// decodeBody decodes exactly one JSON value from the request body into v,
+// rejecting oversized bodies, unknown fields, and trailing data.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return nil
+		}
+		trailing = true
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return ErrBodyTooLarge
+	case trailing:
+		return ErrTrailingData
+	}
+	return err
+}
+
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := decodeBody(w, r, v)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, ErrBodyTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	}
+	return false
 }
 
 // emit appends one event to the job's transition log and wakes every

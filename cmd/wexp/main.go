@@ -35,13 +35,16 @@
 //	wexp merge -out all.json s0.json s1.json s2.json
 //	                                        # union shard artifacts (envelopes must agree)
 //	wexp merge -zero-volatile a.json        # normalize for byte comparison
-//	wexp -dispatch 3 -json                  # fork 3 shard subprocesses locally and merge
 //
 // Served sweeps (docs/BENCH_FORMAT.md, "The wsyncd job service") hand
 // the selection to a wsyncd server, which shards it across registered
 // workers, retries work lost to dead workers, serves repeats from its
-// content-addressed cache, and returns the same merged report:
+// content-addressed cache, and returns the same merged report. wsyncd is
+// the one dynamic dispatcher; on a single machine it takes three
+// commands:
 //
+//	wsyncd -listen 127.0.0.1:8080 &
+//	wsyncd -worker http://127.0.0.1:8080 -name w1 -parallel 1 &   # ×K, distinct names
 //	wexp -submit http://127.0.0.1:8080 -json
 //
 // The -json report is the benchmark artifact CI uploads on every build:
@@ -50,7 +53,7 @@
 // runner is diffable across commits. Results are bit-identical for a
 // given (seed, trials, quick) regardless of -parallel, and — after
 // zeroing the volatile wall-time, throughput, and parallelism fields —
-// regardless of how the run was sharded.
+// regardless of how the run was sharded or served.
 package main
 
 import (
@@ -65,28 +68,12 @@ import (
 	"time"
 
 	"wsync/internal/harness"
-	"wsync/internal/multihop"
 	"wsync/internal/obs"
-	"wsync/internal/rendezvous"
 	"wsync/internal/shard"
-	"wsync/internal/sim"
 )
-
-// reportSchema names the JSON layout; bump on incompatible changes so CI
-// consumers can detect drift. It must stay equal to shard.Schema (the
-// merge engine's side of the contract) — CI's docs job checks both
-// literals and TestReportSchemaMatchesShardPackage pins them.
-const reportSchema = "wsync-bench/v1"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// nodeRoundsTotal sums the per-engine node-round counters. Sampled before
-// and after each experiment, the delta is the experiment's deterministic
-// work measure; divided by wall time it yields node-rounds/s.
-func nodeRoundsTotal() uint64 {
-	return sim.TotalNodeRounds() + multihop.TotalNodeRounds() + rendezvous.TotalNodeRounds()
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -113,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listAll   = fs.Bool("list", false, "list experiment ids and exit")
 		shards    = fs.Int("shards", 0, "split the selection into this many shards and run one of them (requires -shard-index)")
 		shardIdx  = fs.Int("shard-index", -1, "which shard of -shards to run, in [0, shards)")
-		dispatch  = fs.Int("dispatch", 0, "fork this many local shard subprocesses and merge their reports")
 		submit    = fs.String("submit", "", "submit the sweep to this wsyncd base URL and write its merged report")
 		planCosts = fs.String("plan-costs", "", "prior wsync-bench/v1 report whose elapsed_ms values balance the shard partition")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -143,14 +129,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
-	case *shards < 0 || *dispatch < 0:
-		fmt.Fprintln(stderr, "wexp: -shards and -dispatch must be positive")
+	case *shards < 0:
+		fmt.Fprintln(stderr, "wexp: -shards must be positive")
 		return 2
-	case *shards > 0 && *dispatch > 0:
-		fmt.Fprintln(stderr, "wexp: -shards and -dispatch are mutually exclusive")
+	case *submit != "" && *shards > 0:
+		fmt.Fprintln(stderr, "wexp: -submit and -shards are mutually exclusive")
 		return 2
-	case *submit != "" && (*shards > 0 || *dispatch > 0):
-		fmt.Fprintln(stderr, "wexp: -submit is mutually exclusive with -shards and -dispatch")
+	case *submit != "" && *noBatch:
+		// The served sweep runs on the workers, and an assignment carries
+		// only the sweep identity: -nobatch cannot reach them.
+		fmt.Fprintln(stderr, "wexp: -nobatch does not apply to -submit (workers always batch-step)")
 		return 2
 	case *shards > 0 && (*shardIdx < 0 || *shardIdx >= *shards):
 		fmt.Fprintf(stderr, "wexp: -shard-index must be in [0, %d)\n", *shards)
@@ -158,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *shards == 0 && *shardIdx >= 0:
 		fmt.Fprintln(stderr, "wexp: -shard-index requires -shards")
 		return 2
-	case *planCosts != "" && *shards == 0 && *dispatch == 0:
-		fmt.Fprintln(stderr, "wexp: -plan-costs requires -shards or -dispatch (wsyncd keeps its own cost table)")
+	case *planCosts != "" && *shards == 0:
+		fmt.Fprintln(stderr, "wexp: -plan-costs requires -shards (wsyncd keeps its own cost table)")
 		return 2
 	}
 
@@ -222,50 +210,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *dispatch > 0 {
-		// Explicitly requesting any non-JSON format is an error; the
-		// defaulted "text" simply upgrades to the merged JSON report.
-		if (formatSet && *format != "json") || *outDir != "" {
-			fmt.Fprintln(stderr, "wexp: -dispatch emits the merged JSON report to stdout (only -format json, no -out)")
-			return 2
-		}
-		// Split the trial-worker budget across the children — K children
-		// each defaulting to one worker per CPU would oversubscribe the
-		// machine K-fold. Results are bit-identical at any parallelism,
-		// so the split never changes the merged report.
-		totalWorkers := *parallel
-		if totalWorkers <= 0 {
-			totalWorkers = runtime.NumCPU()
-		}
-		childWorkers := (totalWorkers + *dispatch - 1) / *dispatch
-		// Forward the sweep-identity flags verbatim; each child adds its
-		// own -shards/-shard-index pair.
-		childArgs := []string{
-			"-trials", fmt.Sprint(*trials),
-			"-seed", fmt.Sprint(*seed),
-			"-parallel", fmt.Sprint(childWorkers),
-		}
-		if *quick {
-			childArgs = append(childArgs, "-quick")
-		}
-		if *full {
-			childArgs = append(childArgs, "-full")
-		}
-		if *noBatch {
-			childArgs = append(childArgs, "-nobatch")
-		}
-		if *runIDs != "" {
-			childArgs = append(childArgs, "-run", *runIDs)
-		}
-		if *planCosts != "" {
-			childArgs = append(childArgs, "-plan-costs", *planCosts)
-		}
-		return runDispatch(*dispatch, childArgs, reg, stdout, stderr)
-	}
-
 	if *submit != "" {
-		// Like -dispatch: the merged JSON report goes to stdout, so any
-		// explicitly requested non-JSON format or -out is an error.
+		// The merged JSON report goes to stdout: an explicitly requested
+		// non-JSON format or -out is an error, the defaulted text upgrades.
 		if (formatSet && *format != "json") || *outDir != "" {
 			fmt.Fprintln(stderr, "wexp: -submit emits the merged JSON report to stdout (only -format json, no -out)")
 			return 2
@@ -333,7 +280,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rep := shard.Report{
-		Schema:               reportSchema,
+		Schema:               shard.Schema,
 		Trials:               *trials,
 		EffectiveTrials:      opt.EffectiveTrials(),
 		Seed:                 *seed,
@@ -353,32 +300,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metExpSeconds := reg.Histogram("wsync_run_experiment_seconds", "Wall time per experiment.", obs.DefTimeBuckets)
 
 	for _, e := range selected {
-		nrBefore := nodeRoundsTotal()
-		start := time.Now()
-		tbl, err := e.Run(opt)
+		// Experiments run serially, so RunEntry's counter delta is exactly
+		// this experiment's work even though trials within it run in parallel.
+		ent, elapsed, err := shard.RunEntry(e, opt)
 		if err != nil {
 			fmt.Fprintf(stderr, "wexp: %s: %v\n", e.ID, err)
 			return 1
 		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		// Experiments run serially, so the counter delta is exactly this
-		// experiment's work even though trials within it run in parallel.
-		nodeRounds := nodeRoundsTotal() - nrBefore
 		metExperiments.Inc()
-		metNodeRounds.Add(nodeRounds)
-		metExpSeconds.Observe(time.Since(start).Seconds())
-		var nrPerSec float64
-		if s := time.Since(start).Seconds(); s > 0 {
-			nrPerSec = float64(nodeRounds) / s
-		}
+		metNodeRounds.Add(ent.NodeRounds)
+		metExpSeconds.Observe(elapsed.Seconds())
+		tbl := ent.Table
 
 		if *format == "json" && *outDir == "" {
 			// Stdout JSON is one report for all experiments, emitted after
 			// the loop so the document stays a single valid value.
-			rep.Experiments = append(rep.Experiments, shard.Entry{
-				Table: tbl, ElapsedMS: elapsed.Milliseconds(),
-				NodeRounds: nodeRounds, NodeRoundsPerSec: nrPerSec,
-			})
+			rep.Experiments = append(rep.Experiments, ent)
 			continue
 		}
 
@@ -404,7 +341,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			err = tbl.Render(out)
 			if err == nil {
-				_, err = fmt.Fprintf(out, "(%s)\n\n", elapsed)
+				_, err = fmt.Fprintf(out, "(%s)\n\n", elapsed.Round(time.Millisecond))
 			}
 		}
 		if file != nil {

@@ -6,67 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"wsync/internal/shard"
 )
-
-// TestMain reroutes the test binary into run() when it is re-executed as
-// a -dispatch shard subprocess (dispatch.go sets the variable on every
-// child; the real wexp binary ignores it). WEXP_TEST_CHILD_MODE makes a
-// shard child misbehave on purpose — hang, exit without writing, or
-// truncate its artifact — so the dispatcher's failure handling can be
-// tested end to end (see dispatch_test.go); it only ever affects
-// processes that carry -shard-index, so the dispatching parent itself
-// runs normally under the same environment.
-func TestMain(m *testing.M) {
-	if os.Getenv("WEXP_DISPATCH_CHILD") == "1" {
-		if mode := os.Getenv("WEXP_TEST_CHILD_MODE"); mode != "" && isShardChild(os.Args[1:]) {
-			os.Exit(dispatchChildStub(mode))
-		}
-		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
-// isShardChild reports whether this invocation is a -dispatch shard
-// worker (the dispatcher always appends -shard-index to child args).
-func isShardChild(args []string) bool {
-	for _, a := range args {
-		if a == "-shard-index" {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatchChildStub implements the WEXP_TEST_CHILD_MODE behaviors a
-// dispatch regression test can request from a shard subprocess: "hang"
-// parks the child until it is killed (announcing its pid through
-// WEXP_TEST_PID_DIR so the test can probe liveness), "exit-silent"
-// exits 0 without writing a byte of artifact, and "truncate" exits 0
-// mid-document, like a child crashing inside the JSON encoder.
-func dispatchChildStub(mode string) int {
-	switch mode {
-	case "hang":
-		if dir := os.Getenv("WEXP_TEST_PID_DIR"); dir != "" {
-			pid := strconv.Itoa(os.Getpid())
-			os.WriteFile(filepath.Join(dir, "pid_"+pid), []byte(pid), 0o644)
-		}
-		time.Sleep(time.Hour)
-		return 0
-	case "exit-silent":
-		return 0
-	case "truncate":
-		fmt.Print(`{"schema":"wsync-bench/v1","trials":2,"experimen`)
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "unknown WEXP_TEST_CHILD_MODE %q\n", mode)
-	return 3
-}
 
 // capture runs run() with stdout and stderr buffered and returns
 // (exit code, stdout, stderr).
@@ -144,8 +88,8 @@ func TestRunJSONReport(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if rep.Schema != reportSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, reportSchema)
+	if rep.Schema != shard.Schema {
+		t.Errorf("schema = %q, want %q", rep.Schema, shard.Schema)
 	}
 	if rep.Parallelism != 4 || rep.Trials != 2 || !rep.Quick {
 		t.Errorf("options not echoed: %+v", rep)
@@ -167,15 +111,6 @@ func TestRunJSONReport(t *testing.T) {
 		if e.Table != nil && (len(e.Table.Columns) == 0 || len(e.Table.Rows) == 0) {
 			t.Errorf("%s table empty: %+v", want, e.Table)
 		}
-	}
-}
-
-// TestReportSchemaMatchesShardPackage pins the two schema literals (the
-// emitter's and the merge engine's) together; CI's docs job checks the
-// same from outside the build.
-func TestReportSchemaMatchesShardPackage(t *testing.T) {
-	if reportSchema != shard.Schema {
-		t.Fatalf("reportSchema %q != shard.Schema %q", reportSchema, shard.Schema)
 	}
 }
 
@@ -295,11 +230,7 @@ func TestShardFlagValidation(t *testing.T) {
 		{"index out of range", []string{"-shards", "3", "-shard-index", "3", "-run", "F1"}},
 		{"negative index", []string{"-shards", "3", "-shard-index", "-2", "-run", "F1"}},
 		{"negative shards", []string{"-shards", "-1", "-shard-index", "0", "-run", "F1"}},
-		{"shards with dispatch", []string{"-dispatch", "2", "-shards", "2", "-shard-index", "0"}},
 		{"plan-costs without shards", []string{"-plan-costs", "x.json", "-run", "F1"}},
-		{"dispatch with csv", []string{"-dispatch", "2", "-format", "csv"}},
-		{"dispatch with explicit text", []string{"-dispatch", "2", "-format", "text"}},
-		{"dispatch with out dir", []string{"-dispatch", "2", "-out", "somewhere"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -525,32 +456,5 @@ func TestPlanCostsFlag(t *testing.T) {
 		"-plan-costs", filepath.Join(dir, "nope.json"), "-json"})
 	if code != 1 || !strings.Contains(errOut, "-plan-costs") {
 		t.Fatalf("missing costs file: exit = %d, stderr = %q", code, errOut)
-	}
-}
-
-// TestDispatchMatchesUnsharded proves the local dispatcher end to end:
-// forked shard subprocesses plus merge produce the same normalized
-// report as a direct run.
-func TestDispatchMatchesUnsharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	dir := t.TempDir()
-	args := []string{"-quick", "-trials", "2", "-run", "F1,L2,T4,T10a"}
-
-	code, out, errOut := capture(t, append([]string{"-json"}, args...))
-	if code != 0 {
-		t.Fatalf("direct exit = %d: %s", code, errOut)
-	}
-	direct := writeTemp(t, dir, "direct.json", out)
-
-	code, out, errOut = capture(t, append([]string{"-dispatch", "3"}, args...))
-	if code != 0 {
-		t.Fatalf("dispatch exit = %d: %s", code, errOut)
-	}
-	dispatched := writeTemp(t, dir, "dispatched.json", out)
-
-	if mergeNormalize(t, dispatched) != mergeNormalize(t, direct) {
-		t.Fatal("dispatched report differs from direct run")
 	}
 }

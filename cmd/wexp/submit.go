@@ -17,10 +17,10 @@ import (
 // the sweep described by the flags, follows the job's event stream
 // (SSE, with long-poll and finally plain status-poll fallbacks) until
 // the job completes, and writes the merged wsync-bench/v1 report to
-// stdout — the same document an unsharded `wexp -json` run (or `wexp
-// -dispatch`) would produce, modulo the volatile fields. Progress goes
-// to stderr; a sweep answered entirely by the server's
-// content-addressed cache says so there.
+// stdout — the same document an unsharded `wexp -json` run would
+// produce, modulo the volatile fields. Progress goes to stderr; a sweep
+// answered entirely by the server's content-addressed cache says so
+// there.
 func runSubmit(base string, req svc.SubmitRequest, pollEvery time.Duration, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -72,9 +72,11 @@ func TestSubmitServedSweep(t *testing.T) {
 func TestSubmitFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-submit", "http://x", "-shards", "2", "-shard-index", "0"},
-		{"-submit", "http://x", "-dispatch", "2"},
 		{"-submit", "http://x", "-format", "csv"},
 		{"-submit", "http://x", "-out", "dir"},
+		// Assignments carry no NoBatch field: the workers would silently
+		// batch-step, so the request is refused rather than mislabelled.
+		{"-submit", "http://x", "-nobatch"},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

@@ -1,6 +1,8 @@
 // Package shard plans, stamps, and merges distributed sweep runs: the
-// machinery behind `wexp -shards K -shard-index i`, `wexp merge`, and
-// `wexp -dispatch K` (see docs/BENCH_FORMAT.md, "Sharding").
+// machinery behind `wexp -shards K -shard-index i` and `wexp merge`, and
+// under the wsyncd job service in internal/svc (see docs/BENCH_FORMAT.md,
+// "Sharding"). RunEntry is the one experiment→entry runner that wexp's
+// serial loop and the wsyncd worker share.
 //
 // The unit of sharding is the experiment: the wsync-bench/v1 report is
 // merge-friendly exactly at experiment-id granularity (tables are keyed

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"wsync/internal/harness"
+	"wsync/internal/multihop"
+	"wsync/internal/rendezvous"
+	"wsync/internal/sim"
 )
 
-// Schema is the report version this package decodes, stamps, and merges.
-// It must stay equal to reportSchema in cmd/wexp — CI's docs job greps
-// both files and TestReportSchemaMatchesShardPackage pins the pair.
+// Schema is the report version every emitter stamps and this package
+// decodes and merges; CI's docs job checks docs/BENCH_FORMAT.md against it.
 const Schema = "wsync-bench/v1"
 
 // Report is the wsync-bench/v1 envelope (docs/BENCH_FORMAT.md is the
@@ -43,6 +46,35 @@ type Entry struct {
 	ElapsedMS        int64          `json:"elapsed_ms"`
 	NodeRounds       uint64         `json:"node_rounds"`
 	NodeRoundsPerSec float64        `json:"node_rounds_per_s"`
+}
+
+// RunEntry runs one experiment and fills its report entry; it also
+// returns the unrounded wall time for the caller's metrics. node_rounds
+// is the delta of the engines' process-global node-round counters around
+// the run, so it is exact only while one experiment runs per process at
+// a time — wexp's serial loop and a wsyncd worker both guarantee that.
+func RunEntry(e harness.Experiment, opt harness.Options) (Entry, time.Duration, error) {
+	before := nodeRoundsTotal()
+	start := time.Now()
+	tbl, err := e.Run(opt)
+	if err != nil {
+		return Entry{}, 0, err
+	}
+	elapsed := time.Since(start)
+	ent := Entry{
+		Table:      tbl,
+		ElapsedMS:  elapsed.Round(time.Millisecond).Milliseconds(),
+		NodeRounds: nodeRoundsTotal() - before,
+	}
+	if s := elapsed.Seconds(); s > 0 {
+		ent.NodeRoundsPerSec = float64(ent.NodeRounds) / s
+	}
+	return ent, elapsed, nil
+}
+
+// nodeRoundsTotal sums the per-engine node-round counters.
+func nodeRoundsTotal() uint64 {
+	return sim.TotalNodeRounds() + multihop.TotalNodeRounds() + rendezvous.TotalNodeRounds()
 }
 
 // Meta stamps a shard artifact with its place in the partition: which

@@ -23,8 +23,8 @@ import (
 // zero value means the defaults noted on each field.
 type Options struct {
 	// HeartbeatTimeout is how long a worker may hold an assignment
-	// without checking in (a poll or push is a heartbeat) before the
-	// server presumes it dead and re-plans its unfinished experiments.
+	// without pushing before the server presumes it dead and re-plans
+	// its unfinished experiments (a poll hands them back at once).
 	// Default 15s.
 	HeartbeatTimeout time.Duration
 	// RetryBase is the backoff unit for re-planned experiments: after
@@ -97,7 +97,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		jobsRunning:    reg.Gauge("wsync_jobs_running", "Jobs currently in state running."),
 		leasesGranted:  reg.Counter("wsync_leases_granted_total", "Assignments handed to polling workers."),
 		heartbeats:     reg.Counter("wsync_heartbeats_total", "Worker signs of life (every poll and push)."),
-		replans:        reg.Counter("wsync_replans_total", "Experiments re-planned after a worker missed its heartbeat deadline."),
+		replans:        reg.Counter("wsync_replans_total", "Experiments re-planned after a worker missed its heartbeat deadline or polled again without pushing them."),
 		cacheHits:      reg.Counter("wsync_cache_hits_total", "Experiments served from the content-addressed result cache at submit."),
 		cacheMisses:    reg.Counter("wsync_cache_misses_total", "Experiments that missed the cache at submit and entered the pending pool."),
 		cacheConflicts: reg.Counter("wsync_cache_conflicts_total", "Pushed entries conflicting with an already-recorded result (determinism violations)."),
@@ -437,6 +437,12 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.heartbeat(req.Worker, now)
+	// A worker polls only once it has pushed or skipped everything it was
+	// assigned, so whatever it still holds was skipped: its run failed or
+	// its push was lost. Re-plan it now; extending the lease would hang
+	// the job, since the live worker's polls keep it from ever expiring.
+	s.revoke(now, "worker skipped a push; experiment re-planned", "polled again without pushing it",
+		func(l *lease) bool { return l.worker == req.Worker })
 
 	for _, jobID := range s.order {
 		j := s.jobs[jobID]
@@ -760,14 +766,22 @@ func (s *Server) releaseLeased(worker, jobID, id string) {
 }
 
 // expire is the failure detector: leases past their deadline return
-// their unfinished experiments to the pending pool with exponential
-// backoff, or fail the job once an experiment exhausts its attempts.
+// their unfinished experiments to the pending pool.
 func (s *Server) expire(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.revoke(now, "worker presumed dead; experiment re-planned", "missed its heartbeat deadline",
+		func(l *lease) bool { return !l.deadline.After(now) })
+}
+
+// revoke drops the leases matching lapsed and returns their unfinished
+// experiments to the pending pool with exponential backoff, or fails the
+// job once an experiment exhausts its attempts; why completes the
+// diagnostic "worker <name> ...". Callers hold s.mu.
+func (s *Server) revoke(now time.Time, logMsg, why string, lapsed func(*lease) bool) {
 	kept := s.leases[:0]
 	for _, l := range s.leases {
-		if l.deadline.After(now) {
+		if !lapsed(l) {
 			kept = append(kept, l)
 			continue
 		}
@@ -782,9 +796,8 @@ func (s *Server) expire(now time.Time) {
 				continue
 			}
 			if j.attempts[id] >= s.opts.MaxAttempts {
-				s.fail(j, fmt.Sprintf(
-					"experiment %s failed %d attempts; worker %s missed its heartbeat deadline",
-					id, j.attempts[id], l.worker))
+				s.fail(j, fmt.Sprintf("experiment %s failed %d attempts; worker %s %s",
+					id, j.attempts[id], l.worker, why))
 				break
 			}
 			backoff := s.opts.RetryBase << (j.attempts[id] - 1)
@@ -792,8 +805,7 @@ func (s *Server) expire(now time.Time) {
 			j.retries++
 			replanned = true
 			s.met.replans.Inc()
-			s.log.Warn("worker presumed dead; experiment re-planned",
-				"job", j.id, "worker", l.worker, "experiment", id,
+			s.log.Warn(logMsg, "job", j.id, "worker", l.worker, "experiment", id,
 				"attempt", j.attempts[id], "backoff", backoff)
 		}
 		if replanned && j.state == StateRunning {

@@ -11,12 +11,14 @@
 // served sweep is byte-identical (after ZeroVolatile) to the report an
 // unsharded `wexp -json` run would emit.
 //
-// Three properties make the service always-on rather than a one-shot
-// dispatcher:
+// It is the one dynamic dispatcher for sweeps; static `wexp -shards`
+// plus `wexp merge` is the only other way to distribute one. Three
+// properties make it always-on rather than one-shot:
 //
-//   - Retry/re-plan: a worker that misses its heartbeat deadline has its
+//   - Retry/re-plan: a worker that misses its heartbeat deadline, or
+//     polls again without pushing everything it was assigned, has its
 //     unfinished experiments returned to the pending pool with
-//     exponential backoff and re-planned across the surviving workers;
+//     exponential backoff and re-planned across the live workers;
 //     a bounded number of attempts per experiment turns a persistent
 //     failure into a failed job with a diagnostic instead of a hang.
 //   - Content-addressed result cache: every completed entry is stored
@@ -36,6 +38,13 @@
 //	POST /v1/push                PushRequest    -> PushResponse
 //	GET  /v1/healthz                            -> Health (503 while draining)
 //	GET  /metrics                               -> Prometheus text exposition
+//
+// A poll is also a worker's report that its previous assignment is
+// finished: a worker pushes each entry as it completes and polls only
+// after the last one, so any id still leased to a polling worker was
+// skipped (its run failed or its push was lost) and is re-planned like
+// the work of a worker that missed its heartbeat. Hence each worker name
+// must poll from one serial loop.
 //
 // The events endpoint streams job-state transitions: Server-Sent Events
 // when the client sends Accept: text/event-stream, a long-poll JSON
@@ -77,7 +86,8 @@ const (
 
 // JobStatus is the polling view of a job. Report is present only in
 // state "done"; Error only in state "failed". Retries counts experiment
-// re-plans caused by workers missing their heartbeat deadline.
+// re-plans caused by workers missing their heartbeat deadline or
+// polling again without pushing them.
 type JobStatus struct {
 	JobID   string        `json:"job_id"`
 	State   string        `json:"state"`

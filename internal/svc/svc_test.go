@@ -283,6 +283,68 @@ func TestAttemptsExhaustedFailsJob(t *testing.T) {
 	}
 }
 
+// TestSkippedPushReplannedOnPoll pins the poll rule of the protocol: a
+// worker that polls again without pushing an id it was assigned (its run
+// failed, or the push was lost in transport) hands that id back, even
+// though its polls keep its lease from ever expiring. With one attempt
+// allowed the job fails at once with a diagnostic naming the experiment
+// and the worker; with two, another worker completes it.
+func TestSkippedPushReplannedOnPoll(t *testing.T) {
+	req := svc.SubmitRequest{Seed: 1, Trials: 1, Quick: true, Run: []string{"F1"}}
+	skip := func(t *testing.T, maxAttempts int) (*svc.Client, *svc.SubmitResponse) {
+		_, client := startServer(t, svc.Options{
+			HeartbeatTimeout: time.Minute, // expiry must not be what rescues the job
+			RetryBase:        time.Millisecond,
+			MaxAttempts:      maxAttempts,
+			Log:              testLogger(t),
+		})
+		sub, err := client.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err := client.Poll("skipper"); err != nil || a == nil {
+			t.Fatalf("first poll = %+v, %v", a, err)
+		}
+		if a, err := client.Poll("skipper"); err != nil || a != nil {
+			t.Fatalf("second poll = %+v, %v; want no assignment inside the retry backoff", a, err)
+		}
+		return client, sub
+	}
+
+	t.Run("attempts exhausted", func(t *testing.T) {
+		client, sub := skip(t, 1)
+		st, err := client.Status(sub.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != svc.StateFailed {
+			t.Fatalf("job state = %s, want failed once the skipped id used its only attempt", st.State)
+		}
+		if !strings.Contains(st.Error, "F1") || !strings.Contains(st.Error, "skipper") {
+			t.Fatalf("failure diagnostic %q does not name the experiment and worker", st.Error)
+		}
+	})
+
+	t.Run("replanned", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("runs real experiments")
+		}
+		client, sub := skip(t, 2)
+		st, err := client.Status(sub.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != svc.StateRunning || st.Retries != 1 {
+			t.Fatalf("after the skip: state %s, retries %d; want running with 1 retry", st.State, st.Retries)
+		}
+		startWorker(t, client, "w2")
+		st = waitForState(t, client, sub.JobID, 30*time.Second)
+		if st.State != svc.StateDone {
+			t.Fatalf("job state = %s (err %q), want done by the second worker", st.State, st.Error)
+		}
+	})
+}
+
 // TestConflictingPushFailsJob pins the determinism cross-check: two
 // workers pushing different results for the same experiment is a bug
 // somewhere, and the job fails loudly rather than silently keeping one.

@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"wsync/internal/harness"
-	"wsync/internal/multihop"
 	"wsync/internal/obs"
-	"wsync/internal/rendezvous"
 	"wsync/internal/shard"
-	"wsync/internal/sim"
 )
 
 // WorkerOptions configures RunWorker.
@@ -64,14 +61,6 @@ func newWorkerMetrics(reg *obs.Registry) workerMetrics {
 		expSeconds:  reg.Histogram("wsync_worker_experiment_seconds", "Wall time per experiment.", obs.DefTimeBuckets),
 		busy:        reg.Gauge("wsync_worker_busy", "1 while running an assignment, 0 while idle."),
 	}
-}
-
-// nodeRoundsTotal sums the per-engine node-round counters, mirroring
-// wexp: sampled around each experiment, the delta is that experiment's
-// deterministic node_rounds figure. Experiments run serially within a
-// worker, so the delta is exact.
-func nodeRoundsTotal() uint64 {
-	return sim.TotalNodeRounds() + multihop.TotalNodeRounds() + rendezvous.TotalNodeRounds()
 }
 
 // RunWorker polls the server for assignments, runs them through the
@@ -159,39 +148,26 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 				met.busy.Set(0)
 				return fmt.Errorf("svc: worker %s assigned unknown experiment %q (server/worker version skew?)", opts.Name, id)
 			}
-			nrBefore := nodeRoundsTotal()
-			start := time.Now()
-			tbl, err := e.Run(opt)
+			// Experiments run serially within a worker, so RunEntry's
+			// node-round delta is exact.
+			ent, elapsed, err := shard.RunEntry(e, opt)
 			if err != nil {
-				// An experiment failing deterministically would fail on every
-				// worker; letting the lease expire is worse than telling the
-				// operator. Log and skip the push for this id — the server's
-				// attempt bound turns persistent failure into a failed job
-				// with a diagnostic.
+				// Skip the push: this worker's next poll hands the id back
+				// to the server, whose attempt bound turns a persistent
+				// failure into a failed job with a diagnostic.
 				met.expFailures.Inc()
 				log.Error("experiment failed", "job", a.JobID, "experiment", id, "error", err)
 				continue
 			}
-			elapsed := time.Since(start)
-			nodeRounds := nodeRoundsTotal() - nrBefore
 			met.experiments.Inc()
-			met.nodeRounds.Add(nodeRounds)
+			met.nodeRounds.Add(ent.NodeRounds)
 			met.expSeconds.Observe(elapsed.Seconds())
-			var nrPerSec float64
-			if s := elapsed.Seconds(); s > 0 {
-				nrPerSec = float64(nodeRounds) / s
-			}
 			// Push each entry as it completes: the push doubles as a
 			// heartbeat (the server extends this worker's lease deadlines),
 			// so a long assignment only needs every single experiment — not
 			// the whole chunk — to finish within the heartbeat window. It
 			// also narrows the re-plan after a crash to the truly lost work.
-			state, err := client.Push(opts.Name, a.JobID, []shard.Entry{{
-				Table:            tbl,
-				ElapsedMS:        elapsed.Round(time.Millisecond).Milliseconds(),
-				NodeRounds:       nodeRounds,
-				NodeRoundsPerSec: nrPerSec,
-			}})
+			state, err := client.Push(opts.Name, a.JobID, []shard.Entry{ent})
 			if err != nil {
 				met.pushErrors.Inc()
 				log.Warn("push failed", "job", a.JobID, "experiment", id, "error", err)

@@ -127,25 +127,46 @@ func (a *Bursty) Disrupt(round uint64, h *sim.History) *freqset.Set {
 	return a.empty
 }
 
-// Reactive disrupts the t frequencies that carried the most transmissions
-// in the previous round (ties broken toward lower frequencies), which is
-// the strongest history-based strategy expressible without knowing the
-// current round's choices. It is adaptive but legal in the model.
-type Reactive struct {
-	f, t int
-	set  *freqset.Set
-	cnt  []int
+// busiest jams the t frequencies where the most nodes acted in the
+// previous round, ties broken toward lower frequencies, counting either
+// transmitters (NewReactive) or listeners (NewStalker). Before any round
+// has completed it jams the low prefix. It is adaptive but legal in the
+// model: it reads only completed history.
+type busiest struct {
+	t         int
+	listeners bool // count listeners instead of transmitters
+	set       *freqset.Set
+	cnt       []int
+	top       []int
 }
 
-var _ sim.Adversary = (*Reactive)(nil)
+var _ sim.HistoryReader = (*busiest)(nil)
 
-// NewReactive returns a reactive jammer over [1..f] with budget t.
-func NewReactive(f, t int) *Reactive {
-	return &Reactive{f: f, t: t, set: freqset.New(f), cnt: make([]int, f+1)}
+// NewReactive returns a reactive jammer over [1..f] with budget t: each
+// round it jams the t frequencies that carried the most transmissions in
+// the previous round, the strongest history-based strategy expressible
+// without knowing the current round's choices.
+func NewReactive(f, t int) sim.Adversary { return newBusiest(f, t, false) }
+
+// NewStalker returns a listener-targeting jammer over [1..f] with budget
+// t: each round it jams the t frequencies where the most nodes listened
+// in the previous round, the legal history-based strategy that maximally
+// starves receivers. Against protocols whose listeners cluster
+// (narrow-band phases of the Good Samaritan protocol) it is harsher than
+// Reactive.
+func NewStalker(f, t int) sim.Adversary { return newBusiest(f, t, true) }
+
+func newBusiest(f, t int, listeners bool) *busiest {
+	return &busiest{t: t, listeners: listeners, set: freqset.New(f),
+		cnt: make([]int, f+1), top: make([]int, 0, t)}
 }
+
+// ReadsHistory marks busiest as a sim.HistoryReader, so graph runs hand
+// it History.Last too.
+func (*busiest) ReadsHistory() {}
 
 // Disrupt jams the t busiest frequencies of the previous round.
-func (a *Reactive) Disrupt(_ uint64, h *sim.History) *freqset.Set {
+func (a *busiest) Disrupt(_ uint64, h *sim.History) *freqset.Set {
 	a.set.Clear()
 	if h.Last == nil {
 		// No history yet: jam the low prefix.
@@ -154,70 +175,13 @@ func (a *Reactive) Disrupt(_ uint64, h *sim.History) *freqset.Set {
 		}
 		return a.set
 	}
-	for f := 1; f <= a.f; f++ {
-		a.cnt[f] = 0
-	}
+	clear(a.cnt)
 	for _, act := range h.Last.Actions {
-		if act.Transmit {
+		if act.Transmit != a.listeners {
 			a.cnt[act.Freq]++
 		}
 	}
-	for k := 0; k < a.t; k++ {
-		best, bestCnt := 0, -1
-		for f := 1; f <= a.f; f++ {
-			if !a.set.Contains(f) && a.cnt[f] > bestCnt {
-				best, bestCnt = f, a.cnt[f]
-			}
-		}
-		a.set.Add(best)
-	}
-	return a.set
-}
-
-// Stalker adaptively jams the frequencies where the most nodes LISTENED in
-// the previous round — the legal history-based strategy that maximally
-// starves receivers. It complements Reactive (which targets transmitters):
-// against protocols whose listeners cluster (narrow-band phases of the
-// Good Samaritan protocol), Stalker is the harsher of the two.
-type Stalker struct {
-	f, t int
-	set  *freqset.Set
-	cnt  []int
-}
-
-var _ sim.Adversary = (*Stalker)(nil)
-
-// NewStalker returns a listener-targeting jammer over [1..f] with budget t.
-func NewStalker(f, t int) *Stalker {
-	return &Stalker{f: f, t: t, set: freqset.New(f), cnt: make([]int, f+1)}
-}
-
-// Disrupt jams the t most-listened-on frequencies of the previous round.
-func (a *Stalker) Disrupt(_ uint64, h *sim.History) *freqset.Set {
-	a.set.Clear()
-	if h.Last == nil {
-		for i := 1; i <= a.t; i++ {
-			a.set.Add(i)
-		}
-		return a.set
-	}
-	for f := 1; f <= a.f; f++ {
-		a.cnt[f] = 0
-	}
-	for _, act := range h.Last.Actions {
-		if !act.Transmit {
-			a.cnt[act.Freq]++
-		}
-	}
-	for k := 0; k < a.t; k++ {
-		best, bestCnt := 0, -1
-		for f := 1; f <= a.f; f++ {
-			if !a.set.Contains(f) && a.cnt[f] > bestCnt {
-				best, bestCnt = f, a.cnt[f]
-			}
-		}
-		a.set.Add(best)
-	}
+	a.top = freqset.TopT(a.set, a.cnt, a.t, a.top)
 	return a.set
 }
 

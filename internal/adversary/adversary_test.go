@@ -52,6 +52,42 @@ func TestRandomDisruptAllocs(t *testing.T) {
 	}
 }
 
+// TestHistoryDisruptAllocs extends the pin to the history-reading
+// jammers: with a previous round on record, Reactive and Stalker count
+// into a reused row and select through freqset.TopT's reused index
+// buffer, so a steady-state Disrupt allocates nothing.
+func TestHistoryDisruptAllocs(t *testing.T) {
+	for _, name := range []string{"reactive", "stalker"} {
+		t.Run(name, func(t *testing.T) {
+			const f = 128
+			a, err := New(name, f, 48, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &sim.RoundRecord{}
+			for i := 0; i < 64; i++ {
+				rec.Actions = append(rec.Actions, sim.ActionRecord{
+					Node: sim.NodeID(i), Freq: 1 + i*37%f, Transmit: i%3 != 0,
+				})
+			}
+			h := &sim.History{F: f, Last: rec}
+			r := uint64(1)
+			a.Disrupt(r, h)
+			allocs := testing.AllocsPerRun(100, func() {
+				r++
+				rec.Actions[r%64].Freq = 1 + int(r*13%f)
+				a.Disrupt(r, h)
+			})
+			if allocs != 0 {
+				t.Fatalf("Disrupt allocates %.1f objects per round, want 0", allocs)
+			}
+			if got := a.Disrupt(r, h).Len(); got != 48 {
+				t.Fatalf("Disrupt jammed %d frequencies, want 48", got)
+			}
+		})
+	}
+}
+
 func TestPrefixZero(t *testing.T) {
 	if got := NewPrefix(8, 0).Disrupt(1, nil).Len(); got != 0 {
 		t.Fatalf("empty prefix has Len %d", got)

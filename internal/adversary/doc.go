@@ -15,11 +15,20 @@
 //     scanning jammer.
 //   - Bursty: alternates jamming and silence, modeling intermittent
 //     interference (microwave ovens, co-located protocols).
-//   - Reactive: adaptively jams the frequencies that carried the most
+//   - Reactive: adaptively jams the t frequencies that carried the most
 //     transmissions in the previous round — legal in the model because it
 //     only uses completed history.
+//   - Stalker: the same strategy counting listeners instead of
+//     transmitters, so it starves receivers.
 //   - LowPrefix: jams the t' lowest frequencies; the natural worst case
 //     for the Good Samaritan protocol's low-frequency optimism.
+//
+// Reactive and Stalker are one type that differs only in which actions it
+// counts. Each round it counts the previous round's actions per frequency
+// and picks the t largest counts with freqset.TopT, ties going to the
+// lower frequency, in one pass over the band. It implements
+// sim.HistoryReader, so it reads History.Last on graphs (multihop runs)
+// as well as single-hop.
 //
 // All adversaries are deterministic given their construction parameters
 // (Random and Bursty take explicit seeds), keeping simulations reproducible.

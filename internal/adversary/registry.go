@@ -7,9 +7,9 @@ import (
 )
 
 // New constructs an adversary by name; the CLI tools and the public API use
-// it. Recognized names: "none", "fixed" (jams 1..t), "random", "sweep",
-// "bursty", "reactive". The budget t is the number of frequencies jammed
-// per round.
+// it. Recognized names: "none", "fixed" (jams 1..t; also "prefix"),
+// "random", "sweep", "bursty", "reactive" and "stalker". The budget t is
+// the number of frequencies jammed per round.
 func New(name string, f, t int, seed uint64) (sim.Adversary, error) {
 	if t < 0 || t >= f {
 		return nil, fmt.Errorf("adversary: budget t=%d out of range for F=%d", t, f)

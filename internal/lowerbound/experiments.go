@@ -88,8 +88,12 @@ func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed u
 
 // TwoNodeGameScan is the pre-engine implementation of TwoNodeGame, kept as
 // the differential oracle for the shared rendezvous engine (the same role
-// sim.MediumScan plays for the frequency-indexed medium). It must stay
-// bit-identical to TwoNodeGame.
+// sim.MediumScan plays for the frequency-indexed medium). Its greedy
+// rescan — t passes over [1..F], each blocking the first unblocked channel
+// of strictly highest product — is now the only copy of that loop in the
+// program: rendezvous.Greedy and the history-reading jammers select
+// through freqset.TopT instead. It must stay bit-identical to
+// TwoNodeGame, which TestTwoNodeGameMatchesScan pins.
 func TwoNodeGameScan(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
 	r := rng.New(seed)
 	ru := r.Split(1)

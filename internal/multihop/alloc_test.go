@@ -135,14 +135,18 @@ func roundAllocs(t *testing.T, warm uint64, mk func(maxRounds uint64) *Config) f
 // the multi-hop half of the zero-alloc hot-path contract. The white-box
 // pins of the round core itself live in internal/sim; this one adds the
 // driver: config translation happens once per run, and a churned round's
-// delta application patches warmed adjacency in place.
+// delta application patches warmed adjacency in place. The adaptive case
+// jams with adversary.NewReactive, a sim.HistoryReader, so every round
+// also builds its record and hands it to the jammer.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
-		name  string
-		m     sim.MediumPath
-		churn bool
+		name     string
+		m        sim.MediumPath
+		churn    bool
+		adaptive bool
 	}{{name: "indexed", m: sim.MediumIndexed}, {name: "scan", m: sim.MediumScan},
-		{name: "churned", m: sim.MediumIndexed, churn: true}} {
+		{name: "churned", m: sim.MediumIndexed, churn: true},
+		{name: "adaptive", m: sim.MediumIndexed, adaptive: true}} {
 		t.Run(path.name, func(t *testing.T) {
 			const f, jam = 16, 4
 			mk := func(maxRounds uint64) *Config {
@@ -161,6 +165,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 				if path.churn {
 					cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
+				}
+				if path.adaptive {
+					cfg.Adversary = adversary.NewReactive(f, jam)
 				}
 				return cfg
 			}

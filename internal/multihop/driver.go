@@ -44,7 +44,10 @@ type ChurnModel interface {
 
 // Config describes one multi-hop simulation. It reuses the single-hop
 // model's agents, schedules, and adversaries; only medium resolution
-// changes.
+// changes. An adaptive adversary that implements sim.HistoryReader
+// (adversary.NewReactive, adversary.NewStalker) reads each round's
+// record through History.Last as it does single-hop; any other adversary
+// sees History.Last nil.
 type Config struct {
 	// F is the number of frequencies; T the adversary's per-round budget.
 	F int
@@ -72,8 +75,9 @@ type Config struct {
 	// "clear broadcast" is a single-hop, shared-medium notion), so
 	// observers like trace.Recorder work on churned multi-hop runs
 	// unchanged. Record storage is reused between rounds — the
-	// sim.Observer contract. With no observers the core skips all
-	// record building, preserving the zero-allocation round loop.
+	// sim.Observer contract. With no observers and no sim.HistoryReader
+	// adversary the core skips all record building; either way the
+	// round loop stays allocation-free.
 	Observers []sim.Observer
 	// Medium selects the medium-resolution path, mirroring sim.Config.
 	// The zero value (sim.MediumIndexed) is the frequency-indexed fast

@@ -77,6 +77,7 @@ type Greedy struct {
 
 	set      *freqset.Set
 	products []float64
+	top      []int
 }
 
 var _ Jammer = (*Greedy)(nil)
@@ -84,15 +85,16 @@ var _ Jammer = (*Greedy)(nil)
 // NewGreedy returns a greedy product jammer over [1..f] blocking t
 // channels per round.
 func NewGreedy(f, t int) *Greedy {
-	return &Greedy{T: t, set: freqset.New(f), products: make([]float64, f+1)}
+	return &Greedy{T: t, set: freqset.New(f), products: make([]float64, f+1), top: make([]int, 0, t)}
 }
 
-// Block recomputes the products and blocks the T largest. The selection
-// replays the historical two-node scan loop exactly: products scanned
-// ascending, strict improvement, stop once no candidate channel remains.
-// Parties multiply into the product row in index order, so the per-channel
-// float multiplication sequence — and hence the blocked set — is
-// bit-identical to the channel-outer formulation the scan loop used.
+// Block recomputes the products and blocks the T largest through
+// freqset.TopT, which picks exactly what the two-node scan loop of
+// lowerbound.TwoNodeGameScan picks (ties to the lower channel, all
+// channels when T covers the band). Parties multiply into the product row
+// in index order, so the per-channel float multiplication sequence — and
+// hence the blocked set — is bit-identical to the channel-outer
+// formulation the scan loop uses; TestTwoNodeGameMatchesScan pins both.
 func (g *Greedy) Block(rd *Round) *freqset.Set {
 	g.set.Clear()
 	for j := 1; j <= rd.F; j++ {
@@ -111,18 +113,7 @@ func (g *Greedy) Block(rd *Round) *freqset.Set {
 			g.products[j] *= prof.Prob(local, j)
 		}
 	}
-	for k := 0; k < g.T; k++ {
-		best, bestVal := 0, -1.0
-		for j := 1; j <= rd.F; j++ {
-			if !g.set.Contains(j) && g.products[j] > bestVal {
-				best, bestVal = j, g.products[j]
-			}
-		}
-		if best == 0 {
-			break
-		}
-		g.set.Add(best)
-	}
+	g.top = freqset.TopT(g.set, g.products[:rd.F+1], g.T, g.top)
 	return g.set
 }
 

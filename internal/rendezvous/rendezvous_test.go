@@ -128,6 +128,33 @@ func TestGreedyMatchesPrefixOnUniform(t *testing.T) {
 	}
 }
 
+// TestGreedyBlockAllocs pins Greedy's reused product row and TopT index
+// buffer: a steady-state Block performs no heap allocation.
+func TestGreedyBlockAllocs(t *testing.T) {
+	g := NewGreedy(16, 5)
+	rd := &Round{
+		F:          16,
+		Locals:     []uint64{4, 0, 1},
+		Strategies: []Strategy{Uniform{M: 12, P: 0.5}, Uniform{M: 6, P: 0.5}, Uniform{M: 9, P: 0.5}},
+	}
+	g.Block(rd)
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Global++
+		rd.Locals[0]++
+		rd.Locals[2]++
+		if rd.Global%3 == 0 {
+			rd.Locals[1]++
+		}
+		g.Block(rd)
+	})
+	if allocs != 0 {
+		t.Fatalf("Block allocates %.1f objects per round, want 0", allocs)
+	}
+	if got := g.Block(rd).Len(); got != 5 {
+		t.Fatalf("Block jammed %d channels, want 5", got)
+	}
+}
+
 func TestGreedyNeedsProfiled(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -27,8 +27,9 @@
 // an optional per-round graph hook for dynamic topologies; it is the
 // entry point of the multi-hop drivers in internal/multihop. Work only
 // the single-hop model needs (per-frequency classification, Clear and
-// FirstClear, History.Last) runs only on the complete graph, and on a
-// graph round records are built only when observers are present.
+// FirstClear) runs only on the complete graph, and on a graph round
+// records are built only when observers or a HistoryReader adversary
+// read them.
 //
 // Orthogonally to the engine choice, Config.Medium selects how the
 // medium is resolved each round. The default frequency-indexed path —

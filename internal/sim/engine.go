@@ -87,10 +87,13 @@ type engine struct {
 	res  Result
 
 	// record gates building rec's actions, deliveries, and outputs. It is
-	// always set on the complete graph, where History.Last hands the
-	// record to adversaries, and on a graph only when observers are
-	// present, so unobserved graph runs pay only dead branch checks.
-	record bool
+	// always set on the complete graph; on a graph it is set only when
+	// observers or a HistoryReader adversary read the record, so other
+	// graph runs pay only dead branch checks. shareLast gates handing the
+	// record to the adversary as History.Last: always on the complete
+	// graph, and on a graph only to a HistoryReader, so adding observers
+	// never changes what an adversary sees.
+	record, shareLast bool
 
 	// workers runs the per-node halves of each round on goroutines; nil on
 	// the serial path.
@@ -104,6 +107,7 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		return nil, err
 	}
 	n := cfg.Schedule.N()
+	_, readsHistory := cfg.Adversary.(HistoryReader)
 	e := &engine{
 		cfg:        cfg,
 		n:          n,
@@ -119,7 +123,8 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		emptySet:   freqset.New(cfg.F),
 		batch:      newBatchCohorts(n, cfg.NoBatch),
 		graph:      graph,
-		record:     graph == nil || len(cfg.Observers) > 0,
+		record:     graph == nil || readsHistory || len(cfg.Observers) > 0,
+		shareLast:  graph == nil || readsHistory,
 	}
 	master := rng.New(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -436,7 +441,7 @@ func (e *engine) recordOutputs(r uint64) {
 func (e *engine) observeAndCheckStop(r uint64) bool {
 	e.res.Stats.Rounds = r
 	e.hist.Completed = r
-	if e.graph == nil {
+	if e.shareLast {
 		e.hist.Last = &e.rec
 	}
 	for _, ob := range e.cfg.Observers {
@@ -605,8 +610,9 @@ func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, ni
 //
 // Stats.Collisions counts (receiver, round) pairs with two or more
 // transmitting neighbors; FirstClear, Clear, DisruptedLosses, and
-// ClearBroadcasts stay zero. History.Last stays nil, round records are
-// built only for cfg.Observers, and TotalNodeRounds is not updated.
+// ClearBroadcasts stay zero. Round records are built only for
+// cfg.Observers and for a HistoryReader adversary, History.Last is set
+// only for the latter, and TotalNodeRounds is not updated.
 func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
 	switch {
 	case g == nil:

@@ -79,6 +79,16 @@ type Adversary interface {
 	Disrupt(round uint64, hist *History) *freqset.Set
 }
 
+// HistoryReader is an Adversary whose choices read History.Last. On the
+// complete graph every adversary gets History.Last. On a graph (RunGraph)
+// the core builds round records only when something reads them, so it
+// sets History.Last only for a HistoryReader; every other adversary sees
+// it nil there.
+type HistoryReader interface {
+	Adversary
+	ReadsHistory()
+}
+
 // RoundRecord describes one completed round. Records handed to observers
 // and adversaries are only valid during the call; the engine reuses their
 // backing storage.

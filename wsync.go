@@ -129,7 +129,7 @@ type Config struct {
 	T int
 
 	// Adversary names the jammer: "none" (default), "fixed" (jams 1..t),
-	// "random", "sweep", "bursty", "reactive". Ignored when
+	// "random", "sweep", "bursty", "reactive", "stalker". Ignored when
 	// CustomAdversary is set.
 	Adversary string
 	// JammedPrefix overrides the "fixed" adversary's prefix size (the

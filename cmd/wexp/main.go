@@ -217,8 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "wexp: -submit emits the merged JSON report to stdout (only -format json, no -out)")
 			return 2
 		}
-		return runSubmit(*submit, svcSubmitRequest(*seed, *trials, *quick, *full, *runIDs),
-			200*time.Millisecond, stdout, stderr)
+		return runSubmit(*submit, svcSubmitRequest(*seed, *trials, *quick, *full, *runIDs), stdout, stderr)
 	}
 
 	opt := harness.Options{Trials: *trials, Seed: *seed, Quick: *quick, Full: *full, Parallelism: *parallel, NoBatch: *noBatch}

@@ -18,8 +18,8 @@
 // Both modes log structured records (log/slog text format) to stderr
 // and, with -debug-addr, serve net/http/pprof plus a Prometheus
 // /metrics endpoint on a separate listener. The server mode also
-// mounts /metrics and GET /v1/jobs/{id}/events (SSE job-state
-// streaming) on the job API itself; see docs/OBSERVABILITY.md.
+// mounts /metrics and GET /v1/jobs/{id}/events (long-poll job-state
+// transitions) on the job API itself; see docs/OBSERVABILITY.md.
 //
 // Submit sweeps and collect merged reports with `wexp -submit`; the
 // wire protocol and cache key are documented in docs/BENCH_FORMAT.md
@@ -168,9 +168,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	case <-ctx.Done():
 	}
-	// Flip healthz to 503 and end event streams first, so load balancers
-	// stop routing here and Shutdown is not blocked by open SSE
-	// subscribers; in-flight polls and pushes still complete.
+	// Flip healthz to 503 and answer blocked long-poll rounds first, so
+	// load balancers stop routing here and Shutdown is not held up to a
+	// round's wait; in-flight polls and pushes still complete.
 	server.BeginDrain()
 	log.Info("shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -34,7 +33,7 @@ func (c *Client) httpClient() *http.Client {
 // call POSTs (or GETs, when in is nil and method says so) one JSON
 // round trip, decoding the response into out. Non-2xx responses become
 // errors carrying the server's message.
-func (c *Client) call(method, path string, in, out any) error {
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -43,7 +42,7 @@ func (c *Client) call(method, path string, in, out any) error {
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequest(method, strings.TrimSuffix(c.Base, "/")+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(c.Base, "/")+path, body)
 	if err != nil {
 		return fmt.Errorf("svc: %w", err)
 	}
@@ -70,7 +69,7 @@ func (c *Client) call(method, path string, in, out any) error {
 // Submit submits a sweep and returns its job id.
 func (c *Client) Submit(req SubmitRequest) (*SubmitResponse, error) {
 	var out SubmitResponse
-	if err := c.call(http.MethodPost, "/v1/jobs", req, &out); err != nil {
+	if err := c.call(context.Background(), http.MethodPost, "/v1/jobs", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -79,7 +78,7 @@ func (c *Client) Submit(req SubmitRequest) (*SubmitResponse, error) {
 // Status fetches a job's state (including the merged report once done).
 func (c *Client) Status(jobID string) (*JobStatus, error) {
 	var out JobStatus
-	if err := c.call(http.MethodGet, "/v1/jobs/"+jobID, nil, &out); err != nil {
+	if err := c.call(context.Background(), http.MethodGet, "/v1/jobs/"+jobID, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -88,7 +87,7 @@ func (c *Client) Status(jobID string) (*JobStatus, error) {
 // Poll registers worker and asks for an assignment; nil means no work.
 func (c *Client) Poll(worker string) (*Assignment, error) {
 	var out PollResponse
-	if err := c.call(http.MethodPost, "/v1/poll", PollRequest{Worker: worker}, &out); err != nil {
+	if err := c.call(context.Background(), http.MethodPost, "/v1/poll", PollRequest{Worker: worker}, &out); err != nil {
 		return nil, err
 	}
 	return out.Assignment, nil
@@ -97,7 +96,7 @@ func (c *Client) Poll(worker string) (*Assignment, error) {
 // Push returns completed entries and reports the job's state after.
 func (c *Client) Push(worker, jobID string, entries []shard.Entry) (string, error) {
 	var out PushResponse
-	err := c.call(http.MethodPost, "/v1/push", PushRequest{Worker: worker, JobID: jobID, Entries: entries}, &out)
+	err := c.call(context.Background(), http.MethodPost, "/v1/push", PushRequest{Worker: worker, JobID: jobID, Entries: entries}, &out)
 	if err != nil {
 		return "", err
 	}
@@ -135,161 +134,51 @@ func permanentErr(err error) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode/100 == 4
 }
 
-// errStreamTruncated marks an SSE stream that ended before the job's
-// terminal event — a server drain or connection loss, worth a retry.
-var errStreamTruncated = errors.New("svc: event stream ended before a terminal event")
-
-// Events follows a job's SSE event stream, invoking fn for each event
-// in order, starting after the given cursor. It returns nil once a
-// terminal event (state done or failed) has been delivered, ctx.Err()
-// on cancellation, errStreamTruncated if the server ended the stream
-// early (drain), or a transport/API error. Callers wanting automatic
-// fallback use Watch instead.
-func (c *Client) Events(ctx context.Context, jobID string, after int, fn func(JobEvent)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(c.Base, "/")+"/v1/jobs/"+jobID+"/events?after="+strconv.Itoa(after), nil)
-	if err != nil {
-		return fmt.Errorf("svc: %w", err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("svc: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return statusError(http.MethodGet, "/v1/jobs/"+jobID+"/events", resp)
-	}
-	if !strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
-		// A server predating the events endpoint (or a proxy rewriting it)
-		// answered with JSON; treat as truncation so Watch falls back.
-		return errStreamTruncated
-	}
-	terminal := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		case line == "":
-			if len(data) == 0 {
-				continue
-			}
-			var ev JobEvent
-			if err := json.Unmarshal(data, &ev); err != nil {
-				return fmt.Errorf("svc: decoding event: %w", err)
-			}
-			data = data[:0]
-			fn(ev)
-			if ev.State != StateRunning {
-				terminal = true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("svc: reading event stream: %w", err)
-	}
-	if terminal {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return errStreamTruncated
-}
-
 // EventsLongPoll fetches the events after the cursor, letting the
 // server hold the request up to wait when none are pending yet.
 func (c *Client) EventsLongPoll(ctx context.Context, jobID string, after int, wait time.Duration) ([]JobEvent, error) {
-	q := url.Values{}
-	q.Set("after", strconv.Itoa(after))
-	q.Set("wait", wait.String())
-	path := "/v1/jobs/" + jobID + "/events"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(c.Base, "/")+path+"?"+q.Encode(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("svc: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("svc: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, statusError(http.MethodGet, path, resp)
-	}
+	q := url.Values{"after": {strconv.Itoa(after)}, "wait": {wait.String()}}
 	var out EventsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("svc: decoding %s response: %w", path, err)
+	if err := c.call(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/events?"+q.Encode(), nil, &out); err != nil {
+		return nil, err
 	}
 	return out.Events, nil
 }
 
-// Watch follows a job to its terminal state, invoking fn for every
-// event exactly once, in sequence order. It prefers the SSE stream and
-// falls back to long-polling when streaming fails, retrying transport
-// errors with jittered exponential backoff; the ?after cursor makes the
-// switchover seamless. Returns nil after a terminal event, ctx.Err()
-// on cancellation, or the first permanent (4xx) error.
+// Watch follows a job to its terminal state by long-polling its events
+// endpoint, invoking fn for every event exactly once, in sequence
+// order; the ?after cursor resumes each round where the last ended. A
+// round that delivers no new event (its wait elapsed, or a draining
+// server answered at once) and a transport error both sleep a jittered
+// exponential backoff before the next round; a new event resets it.
+// Returns nil after a terminal event, ctx.Err() on cancellation, or
+// the first permanent (4xx) error.
 func (c *Client) Watch(ctx context.Context, jobID string, fn func(JobEvent)) error {
 	after := 0
-	terminal := false
-	deliver := func(ev JobEvent) {
-		if ev.Seq <= after {
-			return
-		}
-		after = ev.Seq
-		if ev.State != StateRunning {
-			terminal = true
-		}
-		fn(ev)
-	}
 	backoff := Backoff{Base: 200 * time.Millisecond, Max: 5 * time.Second}
-	sseBroken := false
 	for {
-		if err := ctx.Err(); err != nil {
+		evs, err := c.EventsLongPoll(ctx, jobID, after, 25*time.Second)
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case permanentErr(err):
 			return err
 		}
-		var err error
-		if !sseBroken {
-			err = c.Events(ctx, jobID, after, deliver)
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, errStreamTruncated) {
-				// The stream worked but ended early (server drain): retry
-				// streaming rather than downgrading to polling.
-				if terminal {
-					return nil
-				}
-			} else {
-				sseBroken = true
-			}
-		} else {
-			var evs []JobEvent
-			evs, err = c.EventsLongPoll(ctx, jobID, after, 25*time.Second)
-			if err == nil {
-				for _, ev := range evs {
-					deliver(ev)
-				}
-				if terminal {
-					return nil
-				}
-				backoff.Reset()
+		moved := false
+		for _, ev := range evs {
+			if ev.Seq <= after {
 				continue
 			}
+			after = ev.Seq
+			moved = true
+			fn(ev)
+			if ev.State != StateRunning {
+				return nil
+			}
 		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if permanentErr(err) {
-			return err
+		if moved {
+			backoff.Reset()
+			continue
 		}
 		t := time.NewTimer(backoff.Next())
 		select {

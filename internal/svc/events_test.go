@@ -3,19 +3,23 @@ package svc_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wsync/internal/svc"
 )
 
-// TestEventStreamEndToEnd is the SSE acceptance path: a watched job
-// emits its transitions in order — "submitted" first, a terminal "done"
-// last, sequence numbers strictly increasing — and the terminal event
-// agrees with what GET /v1/jobs/{id} reports.
+// TestEventStreamEndToEnd is the Watch acceptance path: a watched job
+// delivers every transition exactly once and in order — "submitted"
+// first, a terminal "done" last, sequence numbers 1, 2, 3, … without a
+// gap or repeat — and the terminal event agrees with what
+// GET /v1/jobs/{id} reports.
 func TestEventStreamEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -41,9 +45,9 @@ func TestEventStreamEndToEnd(t *testing.T) {
 	if events[0].Kind != svc.EventSubmitted {
 		t.Errorf("first event kind = %q, want %q", events[0].Kind, svc.EventSubmitted)
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatalf("event sequence not increasing: %d after %d", events[i].Seq, events[i-1].Seq)
+	for i, ev := range events {
+		if ev.Seq != i+1 {
+			t.Fatalf("event %d has seq %d, want %d (each event exactly once, in order)", i, ev.Seq, i+1)
 		}
 	}
 	last := events[len(events)-1]
@@ -64,9 +68,9 @@ func TestEventStreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEventsLongPoll pins the fallback transport: the ?after cursor
-// dedups, a satisfied cursor blocks until the wait elapses, and a
-// cached (instantly terminal) job delivers submitted+done in one round.
+// TestEventsLongPoll pins the events endpoint: the ?after cursor
+// dedups, a satisfied cursor blocks until the wait elapses, a cursor
+// past the log is rejected at once, and an unknown job is a 404.
 func TestEventsLongPoll(t *testing.T) {
 	_, client := startServer(t, svc.Options{})
 	sub, err := client.Submit(svc.SubmitRequest{Seed: 21, Trials: 1, Quick: true, Run: []string{"F1"}})
@@ -96,8 +100,102 @@ func TestEventsLongPoll(t *testing.T) {
 		t.Error("long poll returned before the wait elapsed")
 	}
 
+	// Cursor past the log: out-of-range input, a prompt 400 rather than
+	// a full wait for events that can never arrive.
+	start = time.Now()
+	_, err = client.EventsLongPoll(ctx, sub.JobID, 2, 30*time.Second)
+	var apiErr *svc.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("cursor past the log err = %v, want a 400", err)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Error("cursor past the log blocked instead of failing fast")
+	}
+
 	if _, err := client.EventsLongPoll(ctx, "nope", 0, 0); err == nil || !strings.Contains(err.Error(), "no such job") {
 		t.Errorf("unknown job err = %v", err)
+	}
+}
+
+// TestEventsSingleWireForm pins that the events endpoint has one wire
+// form: a request asking for text/event-stream still gets the JSON
+// EventsResponse.
+func TestEventsSingleWireForm(t *testing.T) {
+	_, client := startServer(t, svc.Options{})
+	sub, err := client.Submit(svc.SubmitRequest{Seed: 22, Trials: 1, Quick: true, Run: []string{"F1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodGet, client.Base+"/v1/jobs/"+sub.JobID+"/events?after=0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("answer = %d %q, want 200 application/json", resp.StatusCode, ct)
+	}
+	var out svc.EventsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("body is not an EventsResponse: %v", err)
+	}
+	if len(out.Events) != 1 || out.Events[0].Kind != svc.EventSubmitted {
+		t.Fatalf("events = %+v, want the one submitted event", out.Events)
+	}
+}
+
+// TestWatchBacksOffWhileDraining pins that Watch sleeps its backoff
+// after a round that delivers nothing new: a draining server answers
+// every long-poll round at once, and a Watch that re-polled immediately
+// would flood it with requests until the job ended.
+func TestWatchBacksOffWhileDraining(t *testing.T) {
+	s := svc.NewServer(svc.Options{})
+	var polls atomic.Int64
+	h := s.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	client := &svc.Client{Base: hs.URL}
+
+	// No worker: the job stays running for the whole test.
+	sub, err := client.Submit(svc.SubmitRequest{Seed: 51, Trials: 1, Quick: true, Run: []string{"F1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	watchDone := make(chan error, 1)
+	go func() { watchDone <- client.Watch(ctx, sub.JobID, func(svc.JobEvent) {}) }()
+	defer func() {
+		cancel()
+		if err := <-watchDone; err != context.Canceled {
+			t.Errorf("watch err = %v, want context.Canceled", err)
+		}
+	}()
+
+	// The first round delivers "submitted"; the second blocks on the tip.
+	deadline := time.Now().Add(5 * time.Second)
+	for polls.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("watch never reached its blocking round")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := polls.Load()
+	s.BeginDrain()
+	time.Sleep(500 * time.Millisecond)
+	if n := polls.Load() - before; n > 10 {
+		t.Fatalf("watch sent %d /events requests in 500ms after drain, want at most 10", n)
 	}
 }
 
@@ -117,8 +215,9 @@ func TestWatchUnknownJobIsPermanent(t *testing.T) {
 }
 
 // TestHealthzDraining pins the drain protocol: 200 ok before, 503 with
-// a "draining" JSON body after BeginDrain, and open event streams end
-// so a graceful shutdown is not held hostage by a subscriber.
+// a "draining" JSON body after BeginDrain, and a blocked long-poll
+// round answers at once so a graceful shutdown is not held hostage by a
+// subscriber.
 func TestHealthzDraining(t *testing.T) {
 	s, client := startServer(t, svc.Options{})
 
@@ -140,16 +239,21 @@ func TestHealthzDraining(t *testing.T) {
 		t.Fatalf("healthz before drain = %d %+v, want 200 ok", code, h)
 	}
 
-	// A live SSE subscriber on a running job.
+	// A live long-poll subscriber blocked on a running job's tip.
 	sub, err := client.Submit(svc.SubmitRequest{Seed: 31, Trials: 1, Quick: true, Run: []string{"F1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamDone := make(chan error, 1)
+	type round struct {
+		evs []svc.JobEvent
+		err error
+	}
+	pollDone := make(chan round, 1)
 	go func() {
-		streamDone <- client.Events(context.Background(), sub.JobID, 0, func(svc.JobEvent) {})
+		evs, err := client.EventsLongPoll(context.Background(), sub.JobID, 1, 30*time.Second)
+		pollDone <- round{evs, err}
 	}()
-	// Give the stream a moment to attach before draining.
+	// Give the round a moment to block before draining.
 	time.Sleep(50 * time.Millisecond)
 
 	s.BeginDrain()
@@ -157,12 +261,12 @@ func TestHealthzDraining(t *testing.T) {
 		t.Fatalf("healthz after drain = %d %+v, want 503 draining", code, h)
 	}
 	select {
-	case err := <-streamDone:
-		if err == nil {
-			t.Error("stream on a running job ended nil; want a truncation error")
+	case r := <-pollDone:
+		if r.err != nil || len(r.evs) != 0 {
+			t.Errorf("drained round = %+v, %v; want an empty list", r.evs, r.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("SSE stream did not end after BeginDrain")
+		t.Fatal("long-poll round did not end within 5s of BeginDrain")
 	}
 }
 

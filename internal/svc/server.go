@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +85,6 @@ type serverMetrics struct {
 	nodeRounds     *obs.Counter
 	pushLatency    *obs.Histogram
 	inflight       *obs.GaugeVec
-	subscribers    *obs.Gauge
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -105,7 +103,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		nodeRounds:     reg.Counter("wsync_node_rounds_total", "Engine node-rounds reported by accepted entries (the deterministic work measure of docs/BENCH_FORMAT.md)."),
 		pushLatency:    reg.Histogram("wsync_push_latency_seconds", "POST /v1/push handling latency.", obs.DefTimeBuckets),
 		inflight:       reg.GaugeVec("wsync_worker_inflight", "Experiments currently leased, per worker.", "worker"),
-		subscribers:    reg.Gauge("wsync_event_subscribers", "Open SSE event streams."),
 	}
 }
 
@@ -144,7 +141,7 @@ type job struct {
 
 	// events is the append-only transition log served by
 	// GET /v1/jobs/{id}/events; notify is closed and replaced on every
-	// append, waking blocked streams (SSE and long-poll alike).
+	// append, waking blocked long-poll rounds.
 	events []JobEvent
 	notify chan struct{}
 }
@@ -211,7 +208,7 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Close stops the expiry sweeper and ends open event streams.
+// Close stops the expiry sweeper and ends blocked long-poll rounds.
 // In-memory state stays readable.
 func (s *Server) Close() {
 	close(s.done)
@@ -224,13 +221,13 @@ func (s *Server) Metrics() *obs.Registry { return s.opts.Metrics }
 
 // BeginDrain marks the server as draining: GET /v1/healthz starts
 // answering 503 so load balancers and smoke scripts can tell "finishing"
-// from "down", and open event streams are ended so an
+// from "down", and blocked long-poll rounds answer at once so an
 // http.Server.Shutdown can complete. Job state is untouched — workers
 // may keep pushing until the listener closes.
 func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
-		s.log.Info("draining: healthz now 503, event streams closing")
+		s.log.Info("draining: healthz now 503, long-poll rounds ending")
 	}
 }
 
@@ -317,7 +314,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // emit appends one event to the job's transition log and wakes every
-// blocked stream. Callers hold s.mu.
+// blocked long-poll round. Callers hold s.mu.
 func (s *Server) emit(j *job, kind string) {
 	j.events = append(j.events, JobEvent{
 		Seq:     len(j.events) + 1,
@@ -566,11 +563,19 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PushResponse{State: j.state})
 }
 
-// handleEvents serves the job's transition log: Server-Sent Events when
-// the client asks for text/event-stream (and the connection can flush),
-// a long-poll JSON round otherwise. The ?after=N cursor (last seen
-// sequence number) makes both forms resumable; docs/OBSERVABILITY.md
-// specifies the wire format.
+// longPollMaxWait caps the server-side block of a long-poll round.
+const longPollMaxWait = time.Minute
+
+var (
+	errNoSuchJob     = errors.New("no such job")
+	errCursorPastLog = errors.New("after is past the job's last event")
+)
+
+// handleEvents serves one long-poll round of the job's transition log:
+// the events after the ?after=N cursor (last seen sequence number),
+// held up to ?wait (default 25s, capped at longPollMaxWait) while none
+// are pending. A drain or Close ends the wait early with an empty list;
+// docs/OBSERVABILITY.md specifies the contract.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	after := 0
@@ -582,86 +587,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if wantsSSE(r) && canFlush {
-		s.serveSSE(w, r, flusher, id, after)
-		return
-	}
-	s.serveLongPoll(w, r, id, after)
-}
-
-func wantsSSE(r *http.Request) bool {
-	for _, accept := range r.Header.Values("Accept") {
-		if strings.Contains(accept, "text/event-stream") {
-			return true
-		}
-	}
-	return false
-}
-
-// jobEvents snapshots the events after the cursor plus the current
-// notify channel and terminal flag.
-func (s *Server) jobEvents(id string, after int) (evs []JobEvent, notify <-chan struct{}, terminal, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, found := s.jobs[id]
-	if !found {
-		return nil, nil, false, false
-	}
-	if after < len(j.events) {
-		evs = append(evs, j.events[after:]...)
-	}
-	return evs, j.notify, j.state != StateRunning, true
-}
-
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.Flusher, id string, after int) {
-	evs, notify, terminal, ok := s.jobEvents(id, after)
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	s.met.subscribers.Inc()
-	defer s.met.subscribers.Dec()
-	for {
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			// "id:" carries the cursor for Last-Event-ID-style resumption;
-			// "event:" names the transition kind for addEventListener use.
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data); err != nil {
-				return
-			}
-			after = ev.Seq
-		}
-		flusher.Flush()
-		if terminal {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.drainCh:
-			return
-		case <-s.done:
-			return
-		case <-notify:
-		}
-		evs, notify, terminal, ok = s.jobEvents(id, after)
-		if !ok {
-			return
-		}
-	}
-}
-
-// longPollMaxWait caps the server-side block of a long-poll round.
-const longPollMaxWait = time.Minute
-
-func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, id string, after int) {
 	wait := 25 * time.Second
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -674,12 +599,8 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, id string
 	if wait > longPollMaxWait {
 		wait = longPollMaxWait
 	}
-	evs, notify, terminal, ok := s.jobEvents(id, after)
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	if len(evs) == 0 && !terminal && wait > 0 {
+	evs, notify, terminal, err := s.jobEvents(id, after)
+	if err == nil && len(evs) == 0 && !terminal && wait > 0 {
 		t := time.NewTimer(wait)
 		defer t.Stop()
 		select {
@@ -690,16 +611,32 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, id string
 		case <-t.C:
 		case <-notify:
 		}
-		evs, _, _, ok = s.jobEvents(id, after)
-		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
-		}
+		evs, _, _, err = s.jobEvents(id, after)
 	}
-	if evs == nil {
-		evs = []JobEvent{}
+	switch {
+	case errors.Is(err, errNoSuchJob):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		writeJSON(w, http.StatusOK, EventsResponse{Events: evs})
 	}
-	writeJSON(w, http.StatusOK, EventsResponse{Events: evs})
+}
+
+// jobEvents snapshots the events after the cursor (never nil, so an
+// empty round encodes as []) plus the current notify channel and
+// terminal flag. It rejects an unknown job and a cursor past the log.
+func (s *Server) jobEvents(id string, after int) (evs []JobEvent, notify <-chan struct{}, terminal bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	switch {
+	case !ok:
+		return nil, nil, false, errNoSuchJob
+	case after > len(j.events):
+		return nil, nil, false, errCursorPastLog
+	}
+	return append([]JobEvent{}, j.events[after:]...), j.notify, j.state != StateRunning, nil
 }
 
 // heartbeat records a sign of life from the worker and extends its

@@ -33,7 +33,7 @@
 //
 //	POST /v1/jobs                SubmitRequest  -> SubmitResponse
 //	GET  /v1/jobs/{id}                          -> JobStatus
-//	GET  /v1/jobs/{id}/events                   -> SSE stream or EventsResponse
+//	GET  /v1/jobs/{id}/events                   -> EventsResponse (long-poll)
 //	POST /v1/poll                PollRequest    -> PollResponse
 //	POST /v1/push                PushRequest    -> PushResponse
 //	GET  /v1/healthz                            -> Health (503 while draining)
@@ -46,9 +46,9 @@
 // the work of a worker that missed its heartbeat. Hence each worker name
 // must poll from one serial loop.
 //
-// The events endpoint streams job-state transitions: Server-Sent Events
-// when the client sends Accept: text/event-stream, a long-poll JSON
-// round otherwise, both resumable through the ?after=<seq> cursor.
+// The events endpoint serves job-state transitions as long-poll JSON
+// rounds, resumable through the ?after=<seq> cursor; Client.Watch
+// follows a job with it.
 // docs/BENCH_FORMAT.md ("The wsyncd job service") is the job-protocol
 // spec; docs/OBSERVABILITY.md covers metrics, logs, and the event wire
 // format.
@@ -151,7 +151,7 @@ const (
 
 // JobEvent is one entry in a job's transition log, served by
 // GET /v1/jobs/{id}/events. Seq is 1-based and strictly increasing per
-// job; passing the last seen Seq as ?after resumes the stream without
+// job; passing the last seen Seq as ?after resumes the log without
 // duplicates. Events deliberately omit the report — at a terminal event
 // the client fetches it once via GET /v1/jobs/{id}.
 type JobEvent struct {
@@ -166,8 +166,9 @@ type JobEvent struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// EventsResponse is the long-poll form of the events endpoint: all
-// events after the cursor, possibly empty if the wait elapsed first.
+// EventsResponse is one long-poll round of the events endpoint: all
+// events after the cursor, empty if the wait elapsed or the server
+// began draining first.
 type EventsResponse struct {
 	Events []JobEvent `json:"events"`
 }

@@ -10,11 +10,13 @@ import (
 
 // Wakeup is the no-competition baseline. See the package comment.
 type Wakeup struct {
-	n   int // participant bound (power of two)
-	f   int
-	r   *rng.Rand
-	uid uint64
-	age uint64
+	n       int    // participant bound (power of two)
+	lg      int    // lg n, at least 1: the ramp's epoch count and length
+	rampLen uint64 // lg², the rounds after which a silent node leads
+	f       int
+	r       *rng.Rand
+	uid     uint64
+	age     uint64
 
 	dist      freqdist.Uniform
 	out       core.OutputState
@@ -39,26 +41,33 @@ func NewWakeup(n, f int, r *rng.Rand) *Wakeup {
 	if n < 2 {
 		n = 2
 	}
+	pow := freqdist.NextPow2(n)
+	lg := max(freqdist.CeilLog2(pow), 1)
 	return &Wakeup{
-		n:    freqdist.NextPow2(n),
-		f:    f,
-		r:    r,
-		uid:  core.NewUID(r, n),
-		dist: freqdist.NewUniform(1, f),
+		n:       pow,
+		lg:      lg,
+		rampLen: uint64(lg * lg),
+		f:       f,
+		r:       r,
+		uid:     core.NewUID(r, n),
+		dist:    freqdist.NewUniform(1, f),
 	}
 }
 
 // WakeupArena pools Wakeup construction for one engine run: count slots in
-// one contiguous slab, with the participant-bound arithmetic done once.
+// one contiguous slab, with the participant-bound arithmetic (the bound, its
+// lg and the ramp length) done once.
 // NewAgent draws exactly what NewWakeup draws from the node's rng stream
 // (the UID bound is the clamped, not-yet-rounded n — preserved here so
 // arena-built runs are bit-identical to NewWakeup-built runs). Arena-built
 // nodes form one batch cohort (the arena pointer is the cohort key).
 type WakeupArena struct {
-	uidN  int // NewUID bound: clamped to >= 2, not rounded to a power of two
-	n     int // participant bound (power of two)
-	f     int
-	nodes []Wakeup
+	uidN    int // NewUID bound: clamped to >= 2, not rounded to a power of two
+	n       int // participant bound (power of two)
+	lg      int
+	rampLen uint64
+	f       int
+	nodes   []Wakeup
 }
 
 // NewWakeupArena returns an arena with count slots for a system of at most
@@ -67,11 +76,15 @@ func NewWakeupArena(n, f, count int) *WakeupArena {
 	if n < 2 {
 		n = 2
 	}
+	pow := freqdist.NextPow2(n)
+	lg := max(freqdist.CeilLog2(pow), 1)
 	return &WakeupArena{
-		uidN:  n,
-		n:     freqdist.NextPow2(n),
-		f:     f,
-		nodes: make([]Wakeup, count),
+		uidN:    n,
+		n:       pow,
+		lg:      lg,
+		rampLen: uint64(lg * lg),
+		f:       f,
+		nodes:   make([]Wakeup, count),
 	}
 }
 
@@ -80,38 +93,25 @@ func NewWakeupArena(n, f, count int) *WakeupArena {
 func (a *WakeupArena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 	w := &a.nodes[id]
 	*w = Wakeup{
-		n:     a.n,
-		f:     a.f,
-		r:     r,
-		uid:   core.NewUID(r, a.uidN),
-		dist:  freqdist.NewUniform(1, a.f),
-		arena: a,
+		n:       a.n,
+		lg:      a.lg,
+		rampLen: a.rampLen,
+		f:       a.f,
+		r:       r,
+		uid:     core.NewUID(r, a.uidN),
+		dist:    freqdist.NewUniform(1, a.f),
+		arena:   a,
 	}
 	return w
 }
 
-func (w *Wakeup) lg() int {
-	lg := freqdist.CeilLog2(w.n)
-	if lg < 1 {
-		lg = 1
-	}
-	return lg
-}
-
-// rampLen is the number of rounds after which a silent node assumes
-// leadership: lg N epochs of lg N rounds each.
-func (w *Wakeup) rampLen() uint64 {
-	lg := uint64(w.lg())
-	return lg * lg
-}
-
 // prob returns the ramped broadcast probability 2^e/(2N), epoch length
-// lg N, capped at 1/2.
+// lg N, capped at 1/2. The ramp is lg N epochs of lg N rounds each, after
+// which a silent node assumes leadership (rampLen).
 func (w *Wakeup) prob() float64 {
-	lg := w.lg()
-	e := int(w.age-1)/lg + 1
-	if e > lg {
-		e = lg
+	e := int(w.age-1)/w.lg + 1
+	if e > w.lg {
+		e = w.lg
 	}
 	return float64(uint64(1)<<uint(e)) / (2 * float64(w.n))
 }
@@ -166,7 +166,7 @@ func (w *Wakeup) step(local uint64, m *msg.Message) (freq int32, transmit bool) 
 	if w.adopted {
 		return int32(w.dist.Sample(w.r)), false
 	}
-	if !w.committed && w.age > w.rampLen() {
+	if !w.committed && w.age > w.rampLen {
 		// Heard nobody for the whole ramp: assume leadership.
 		w.committed = true
 		w.out.Adopt(w.age)

@@ -64,7 +64,7 @@ func TestWakeupAdoptRules(t *testing.T) {
 
 func TestWakeupSelfCommit(t *testing.T) {
 	w := NewWakeup(16, 4, rng.New(4))
-	for r := uint64(1); r <= w.rampLen()+1; r++ {
+	for r := uint64(1); r <= w.rampLen+1; r++ {
 		w.Step(r)
 	}
 	if !w.IsLeader() {

@@ -226,6 +226,53 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
+// ceilLog2Loop is the doubling loop CeilLog2 used before it became one
+// bits.Len call, kept as the reference. It never terminates for n > 1<<62
+// (the doubling overflows), so callers stay at or below that.
+func ceilLog2Loop(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	l := 0
+	v := 1
+	for v < n {
+		v <<= 1
+		l++
+	}
+	return l
+}
+
+// TestCeilLog2MatchesLoop checks CeilLog2 and NextPow2 against the
+// reference loop on every n in [-4, 1<<16] and around every power of two
+// 2^k, k <= 62.
+func TestCeilLog2MatchesLoop(t *testing.T) {
+	check := func(n int) {
+		t.Helper()
+		if n > 1<<62 {
+			// Past the reference loop's range; only 2^62+1 is probed.
+			if got := CeilLog2(n); got != 63 {
+				t.Errorf("CeilLog2(%d) = %d, want 63", n, got)
+			}
+			return
+		}
+		want := ceilLog2Loop(n)
+		if got := CeilLog2(n); got != want {
+			t.Errorf("CeilLog2(%d) = %d, want %d", n, got, want)
+		}
+		if got := NextPow2(n); got != 1<<uint(want) {
+			t.Errorf("NextPow2(%d) = %d, want %d", n, got, 1<<uint(want))
+		}
+	}
+	for n := -4; n <= 1<<16; n++ {
+		check(n)
+	}
+	for k := 0; k <= 62; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
+	}
+}
+
 // Property: every distribution's Prob is a valid pmf over its support.
 func TestQuickSpecialPMF(t *testing.T) {
 	f := func(fRaw uint8) bool {

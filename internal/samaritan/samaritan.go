@@ -52,7 +52,9 @@ const (
 	DefaultFallbackFactor = 4
 )
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields. The public methods apply it on every
+// call; nodes and arenas apply it once, through newSchedule, and read the
+// derived table from then on.
 func (p Params) withDefaults() Params {
 	if p.CEpoch == 0 {
 		p.CEpoch = DefaultCEpoch
@@ -213,10 +215,63 @@ func (p Params) Schedule() []ScheduleRow {
 	return rows
 }
 
+// schedule is the Figure 2 schedule of one Params, derived once when a node
+// or arena is built so that the step reads it instead of recomputing it.
+// Each entry is filled by the Params method of the same quantity, so the two
+// cannot disagree. A schedule is read-only after newSchedule; an arena's
+// nodes share one, also across RunConcurrent workers.
+type schedule struct {
+	Params // with defaults applied
+
+	lgN            int
+	lgF            int
+	epochsPerSuper int
+	epochLen       []uint64  // epochLen[k] = EpochLen(k) for k in 0..lgF
+	threshold      []uint32  // threshold[k] = SuccessThreshold(k) for k in 0..lgF
+	prob           []float64 // prob[e] = BroadcastProb(e) for e in 0..lgN+2
+	fallbackLen    uint64    // FallbackEpochLen
+
+	// narrow[k-1] is the uniform distribution over [1..min(2^k, F)].
+	narrow []freqdist.Uniform
+}
+
+// newSchedule derives the schedule of validated parameters p.
+func newSchedule(p Params) *schedule {
+	p = p.withDefaults()
+	s := &schedule{
+		Params:         p,
+		lgN:            p.LgN(),
+		lgF:            p.LgF(),
+		epochsPerSuper: p.EpochsPerSuper(),
+		fallbackLen:    p.FallbackEpochLen(),
+	}
+	s.epochLen = make([]uint64, s.lgF+1)
+	s.threshold = make([]uint32, s.lgF+1)
+	for k := range s.epochLen {
+		s.epochLen[k] = p.EpochLen(k)
+		s.threshold[k] = p.SuccessThreshold(k)
+	}
+	s.prob = make([]float64, s.epochsPerSuper+1)
+	for e := range s.prob {
+		s.prob[e] = p.BroadcastProb(e)
+	}
+	s.narrow = make([]freqdist.Uniform, s.lgF)
+	for k := 1; k <= s.lgF; k++ {
+		hi := 1 << uint(k)
+		if hi > p.F {
+			hi = p.F
+		}
+		s.narrow[k-1] = freqdist.NewUniform(1, hi)
+	}
+	return s
+}
+
 // Node is one Good Samaritan Protocol participant. It implements
-// sim.Agent, sim.BroadcastProber and sim.LeaderReporter.
+// sim.Agent, sim.BroadcastProber and sim.LeaderReporter. A node reads its
+// parameters and schedule through p, which New builds per node and an Arena
+// shares across its slots.
 type Node struct {
-	p Params
+	p *schedule
 	r *rng.Rand
 
 	uid  uint64
@@ -229,8 +284,6 @@ type Node struct {
 	epoch      int
 	epochRound uint64
 
-	// narrow[k-1] is the uniform distribution over [1..min(2^k, F)].
-	narrow  []freqdist.Uniform
 	wide    freqdist.Uniform
 	special freqdist.Special
 
@@ -266,27 +319,18 @@ func New(p Params, r *rng.Rand) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	n := &Node{
-		p:       p,
+	s := newSchedule(p)
+	return &Node{
+		p:       s,
 		r:       r,
-		uid:     core.NewUID(r, p.N),
+		uid:     core.NewUID(r, s.N),
 		role:    core.RoleContender,
 		super:   1,
 		epoch:   1,
-		wide:    freqdist.NewUniform(1, p.F),
-		special: freqdist.NewSpecial(p.F),
+		wide:    freqdist.NewUniform(1, s.F),
+		special: freqdist.NewSpecial(s.F),
 		tallies: make(map[uint64]uint32),
-	}
-	n.narrow = make([]freqdist.Uniform, p.LgF())
-	for k := 1; k <= p.LgF(); k++ {
-		hi := 1 << uint(k)
-		if hi > p.F {
-			hi = p.F
-		}
-		n.narrow[k-1] = freqdist.NewUniform(1, hi)
-	}
-	return n, nil
+	}, nil
 }
 
 // MustNew is New for static parameters; it panics on error.
@@ -299,16 +343,16 @@ func MustNew(p Params, r *rng.Rand) *Node {
 }
 
 // Arena pools Node construction for one engine run: count slots in one
-// contiguous slab, the narrow-band distribution table (a pure function of
-// the parameters) shared across all slots, and each slot's samaritan tally
-// map preallocated once at build. NewAgent draws exactly what New draws
-// from the node's rng stream, so arena-built runs are bit-identical to
-// MustNew-built runs; slot i is only ever touched by node i. Arena-built
-// nodes form one batch cohort (the arena pointer is the cohort key).
+// contiguous slab, one schedule (with the narrow-band distribution table)
+// derived once and shared read-only across all slots, and each slot's
+// samaritan tally map preallocated once at build. NewAgent draws exactly
+// what New draws from the node's rng stream, so arena-built runs are
+// bit-identical to MustNew-built runs; slot i is only ever touched by node
+// i. Arena-built nodes form one batch cohort (the arena pointer is the
+// cohort key).
 type Arena struct {
-	p      Params
-	narrow []freqdist.Uniform
-	nodes  []Node
+	p     *schedule
+	nodes []Node
 }
 
 // NewArena returns an arena with count slots for parameters p. It returns
@@ -317,19 +361,7 @@ func NewArena(p Params, count int) (*Arena, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	a := &Arena{
-		p:      p,
-		narrow: make([]freqdist.Uniform, p.LgF()),
-		nodes:  make([]Node, count),
-	}
-	for k := 1; k <= p.LgF(); k++ {
-		hi := 1 << uint(k)
-		if hi > p.F {
-			hi = p.F
-		}
-		a.narrow[k-1] = freqdist.NewUniform(1, hi)
-	}
+	a := &Arena{p: newSchedule(p), nodes: make([]Node, count)}
 	for i := range a.nodes {
 		a.nodes[i].tallies = make(map[uint64]uint32)
 	}
@@ -359,7 +391,6 @@ func (a *Arena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agen
 		role:    core.RoleContender,
 		super:   1,
 		epoch:   1,
-		narrow:  a.narrow,
 		wide:    freqdist.NewUniform(1, a.p.F),
 		special: freqdist.NewSpecial(a.p.F),
 		tallies: t,
@@ -392,11 +423,11 @@ func (n *Node) timestamp() msg.Timestamp {
 func (n *Node) BroadcastProb() float64 {
 	switch n.role {
 	case core.RoleContender, core.RoleSamaritan:
-		return n.p.BroadcastProb(n.epoch)
+		return n.p.prob[n.epoch]
 	case core.RoleFallback:
 		// Half the rounds are Trapdoor rounds with prob p_e, half are
 		// special rounds with prob 1/2.
-		return 0.5*n.p.BroadcastProb(n.fbEpoch) + 0.25
+		return 0.5*n.p.prob[n.fbEpoch] + 0.25
 	case core.RoleLeader:
 		return n.p.LeaderTxProb
 	default:
@@ -408,15 +439,15 @@ func (n *Node) BroadcastProb() float64 {
 // by one round, handling epoch and super-epoch boundaries. It returns false
 // when the optimistic portion is exhausted (the node enters fallback).
 func (n *Node) advanceOptimistic() bool {
-	for n.epochRound >= n.p.EpochLen(n.super) {
+	for n.epochRound >= n.p.epochLen[n.super] {
 		n.epochRound = 0
 		n.epoch++
-		if n.epoch > n.p.EpochsPerSuper() {
+		if n.epoch > n.p.epochsPerSuper {
 			n.epoch = 1
 			n.super++
 			// Tallies pertain to one super-epoch only.
 			clear(n.tallies)
-			if n.super > n.p.LgF() {
+			if n.super > n.p.lgF {
 				n.role = core.RoleFallback
 				n.fbEpoch = 1
 				n.fbEpochRound = 0
@@ -484,10 +515,9 @@ func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 // optimisticStep implements the Figure 2 round behavior for contenders
 // and samaritans.
 func (n *Node) optimisticStep(m *msg.Message) (int32, bool) {
-	lgN := n.p.LgN()
-	kDist := n.narrow[n.super-1]
+	kDist := n.p.narrow[n.super-1]
 
-	if n.epoch <= lgN {
+	if n.epoch <= n.p.lgN {
 		// Regular epoch: half narrow band, half full band.
 		var f int
 		if n.r.Bool() {
@@ -495,7 +525,7 @@ func (n *Node) optimisticStep(m *msg.Message) (int32, bool) {
 		} else {
 			f = n.wide.Sample(n.r)
 		}
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		if n.r.Bernoulli(n.p.prob[n.epoch]) {
 			*m = n.protocolMessage()
 			return int32(f), true
 		}
@@ -505,7 +535,7 @@ func (n *Node) optimisticStep(m *msg.Message) (int32, bool) {
 	// Last two epochs: half normal narrow-band rounds, half special rounds.
 	if n.r.Bool() {
 		f := kDist.Sample(n.r)
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		if n.r.Bernoulli(n.p.prob[n.epoch]) {
 			*m = n.protocolMessage()
 			return int32(f), true
 		}
@@ -565,10 +595,10 @@ func (n *Node) topReports() []msg.Report {
 // ramp, timestamps honored) and a Good Samaritan special round.
 func (n *Node) fallbackStep(m *msg.Message) (int32, bool) {
 	// Epoch bookkeeping advances every round.
-	for n.fbEpochRound >= n.p.FallbackEpochLen() {
+	for n.fbEpochRound >= n.p.fallbackLen {
 		n.fbEpochRound = 0
 		n.fbEpoch++
-		if n.fbEpoch > n.p.LgN() {
+		if n.fbEpoch > n.p.lgN {
 			n.becomeLeader()
 			return n.leaderStep(m)
 		}
@@ -578,7 +608,7 @@ func (n *Node) fallbackStep(m *msg.Message) (int32, bool) {
 	if n.r.Bool() {
 		// Trapdoor round on the full band.
 		f := n.wide.Sample(n.r)
-		if n.r.Bernoulli(n.p.BroadcastProb(n.fbEpoch)) {
+		if n.r.Bernoulli(n.p.prob[n.fbEpoch]) {
 			*m = msg.Message{Kind: msg.KindContender, TS: n.timestamp(), Fallback: true}
 			return int32(f), true
 		}
@@ -669,7 +699,7 @@ func (n *Node) deliverContender(m msg.Message) {
 // part of epoch lgN+1, (b) it is not special for either party, and (c) both
 // were awakened in the same round.
 func (n *Node) maybeRecordSuccess(m msg.Message) {
-	critical := n.p.LgN() + 1
+	critical := n.p.lgN + 1
 	if n.epoch != critical || int(m.Epoch) != critical {
 		return
 	}
@@ -692,7 +722,7 @@ func (n *Node) deliverSamaritan(m msg.Message) {
 			return
 		}
 		for _, rep := range m.Reports {
-			if rep.UID == n.uid && rep.Count >= n.p.SuccessThreshold(n.super) {
+			if rep.UID == n.uid && rep.Count >= n.p.threshold[n.super] {
 				n.becomeLeader()
 				return
 			}

@@ -57,7 +57,9 @@ const (
 	DefaultCFinal = 6
 )
 
-// withDefaults returns p with zero fields replaced by defaults.
+// withDefaults returns p with zero fields replaced by defaults. The public
+// methods apply it on every call; nodes and arenas apply it once, through
+// newSchedule, and read the derived table from then on.
 func (p Params) withDefaults() Params {
 	if p.CEpoch == 0 {
 		p.CEpoch = DefaultCEpoch
@@ -185,11 +187,43 @@ func (p Params) Schedule() []ScheduleRow {
 	return rows
 }
 
+// schedule is the Figure 1 epoch schedule of one Params, derived once when
+// a node or arena is built so that the step reads it instead of recomputing
+// it. Each entry is filled by the Params method of the same quantity, so the
+// two cannot disagree. A schedule is read-only after newSchedule; an
+// arena's nodes share one, also across RunConcurrent workers.
+type schedule struct {
+	Params // with defaults applied
+
+	lgN      int
+	epochLen uint64    // ℓE, epochs 1..lgN−1
+	finalLen uint64    // ℓE+, epoch lgN
+	prob     []float64 // prob[e] = BroadcastProb(e) for e in 0..lgN
+}
+
+// newSchedule derives the schedule of validated parameters p.
+func newSchedule(p Params) *schedule {
+	p = p.withDefaults()
+	s := &schedule{
+		Params:   p,
+		lgN:      p.LgN(),
+		epochLen: p.EpochLen(),
+		finalLen: p.FinalEpochLen(),
+	}
+	s.prob = make([]float64, s.lgN+1)
+	for e := range s.prob {
+		s.prob[e] = p.BroadcastProb(e)
+	}
+	return s
+}
+
 // Node is one Trapdoor Protocol participant. It implements sim.Agent,
 // sim.BroadcastProber and sim.LeaderReporter. Nodes are not safe for
-// concurrent use; the engine drives each from one goroutine at a time.
+// concurrent use; the engine drives each from one goroutine at a time. A
+// node reads its parameters and epoch schedule through p, which New builds
+// per node and an Arena shares across its slots.
 type Node struct {
-	p    Params
+	p    *schedule
 	r    *rng.Rand
 	dist freqdist.Uniform // uniform over [1..F']
 
@@ -224,12 +258,12 @@ func New(p Params, r *rng.Rand) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
+	s := newSchedule(p)
 	return &Node{
-		p:          p,
+		p:          s,
 		r:          r,
-		dist:       freqdist.NewUniform(1, p.FPrime()),
-		uid:        core.NewUID(r, p.N),
+		dist:       freqdist.NewUniform(1, s.FPrime()),
+		uid:        core.NewUID(r, s.N),
 		role:       core.RoleContender,
 		epoch:      1,
 		epochRound: 0,
@@ -246,14 +280,15 @@ func MustNew(p Params, r *rng.Rand) *Node {
 }
 
 // Arena pools Node construction for one engine run: count slots laid out in
-// one contiguous slab, with parameters validated and defaulted once. Its
-// NewAgent matches sim.Config.NewAgent and draws exactly what New draws from
-// the node's rng stream, so arena-built runs are bit-identical to
-// MustNew-built runs; slot i is only ever touched by node i, so the arena is
-// safe under RunConcurrent's disjoint node ownership. Arena-built nodes form
-// one batch cohort (the arena pointer is the cohort key).
+// one contiguous slab, with parameters validated once and one epoch schedule
+// derived once and shared read-only by all slots. Its NewAgent matches
+// sim.Config.NewAgent and draws exactly what New draws from the node's rng
+// stream, so arena-built runs are bit-identical to MustNew-built runs; slot
+// i is only ever touched by node i, so the arena is safe under
+// RunConcurrent's disjoint node ownership. Arena-built nodes form one batch
+// cohort (the arena pointer is the cohort key).
 type Arena struct {
-	p     Params
+	p     *schedule
 	nodes []Node
 }
 
@@ -263,7 +298,7 @@ func NewArena(p Params, count int) (*Arena, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Arena{p: p.withDefaults(), nodes: make([]Node, count)}, nil
+	return &Arena{p: newSchedule(p), nodes: make([]Node, count)}, nil
 }
 
 // MustNewArena is NewArena for callers with static parameters.
@@ -315,10 +350,10 @@ func (n *Node) timestamp() msg.Timestamp {
 
 // epochLen returns the length of epoch e.
 func (n *Node) epochLen(e int) uint64 {
-	if e == n.p.LgN() {
-		return n.p.FinalEpochLen()
+	if e == n.p.lgN {
+		return n.p.finalLen
 	}
-	return n.p.EpochLen()
+	return n.p.epochLen
 }
 
 // BroadcastProb reports the probability that the upcoming Step transmits.
@@ -326,10 +361,10 @@ func (n *Node) BroadcastProb() float64 {
 	switch n.role {
 	case core.RoleContender:
 		e := n.epoch
-		if n.epochRound >= n.epochLen(e) && e < n.p.LgN() {
+		if n.epochRound >= n.epochLen(e) && e < n.p.lgN {
 			e++
 		}
-		return n.p.BroadcastProb(e)
+		return n.p.prob[e]
 	case core.RoleLeader:
 		return n.p.LeaderTxProb
 	default:
@@ -399,14 +434,14 @@ func (n *Node) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 		for n.epochRound >= n.epochLen(n.epoch) {
 			n.epochRound -= n.epochLen(n.epoch)
 			n.epoch++
-			if n.epoch > n.p.LgN() {
+			if n.epoch > n.p.lgN {
 				n.becomeLeader()
 				return n.leaderStep(m)
 			}
 		}
 		n.epochRound++
 		f := int32(n.dist.Sample(n.r))
-		if n.r.Bernoulli(n.p.BroadcastProb(n.epoch)) {
+		if n.r.Bernoulli(n.p.prob[n.epoch]) {
 			*m = msg.Message{Kind: msg.KindContender, TS: n.timestamp()}
 			return f, true
 		}

@@ -656,7 +656,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 //   - dense: the acceptance workload — F=128, every node awake from round
 //     1, so stepping dominates and the cohort loop's locality shows.
 //   - sparse: a trickling schedule, so cohort bookkeeping (activation
-//     inserts, growing locals) is exercised alongside stepping.
+//     inserts into growing id lists) is exercised alongside stepping.
 func BenchmarkStepDispatch(b *testing.B) {
 	const f, tBudget = 128, 2
 	dispatches := []struct {

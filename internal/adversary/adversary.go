@@ -9,17 +9,20 @@ import (
 // None never disrupts.
 type None struct{}
 
-var _ sim.Adversary = None{}
+var _ sim.HistoryBlind = None{}
 
 // Disrupt returns nil, meaning no frequencies are disrupted.
 func (None) Disrupt(uint64, *sim.History) *freqset.Set { return nil }
+
+// IgnoresHistory marks None as sim.HistoryBlind.
+func (None) IgnoresHistory() {}
 
 // Fixed disrupts the same set every round.
 type Fixed struct {
 	set *freqset.Set
 }
 
-var _ sim.Adversary = (*Fixed)(nil)
+var _ sim.HistoryBlind = (*Fixed)(nil)
 
 // NewFixed returns an adversary that always disrupts the given frequencies
 // (each in [1..f]).
@@ -40,6 +43,9 @@ func NewPrefix(f, t int) *Fixed {
 // Disrupt returns the fixed set.
 func (a *Fixed) Disrupt(uint64, *sim.History) *freqset.Set { return a.set }
 
+// IgnoresHistory marks Fixed as sim.HistoryBlind.
+func (*Fixed) IgnoresHistory() {}
+
 // Random disrupts a fresh uniform t-subset of [1..F] each round. It is an
 // oblivious adversary: its choices depend only on its seed, never on the
 // execution.
@@ -50,7 +56,7 @@ type Random struct {
 	scratch []int
 }
 
-var _ sim.Adversary = (*Random)(nil)
+var _ sim.HistoryBlind = (*Random)(nil)
 
 // NewRandom returns a Random adversary over [1..f] disrupting t frequencies
 // per round, driven by seed.
@@ -69,6 +75,9 @@ func (a *Random) Disrupt(uint64, *sim.History) *freqset.Set {
 	return a.set
 }
 
+// IgnoresHistory marks Random as sim.HistoryBlind.
+func (*Random) IgnoresHistory() {}
+
 // Sweep disrupts a window of t consecutive frequencies that slides by Step
 // each round, wrapping around the band.
 type Sweep struct {
@@ -76,7 +85,7 @@ type Sweep struct {
 	set        *freqset.Set
 }
 
-var _ sim.Adversary = (*Sweep)(nil)
+var _ sim.HistoryBlind = (*Sweep)(nil)
 
 // NewSweep returns a sweeping jammer over [1..f] with window t advancing by
 // step each round (step defaults to 1 when <= 0).
@@ -97,6 +106,9 @@ func (a *Sweep) Disrupt(round uint64, _ *sim.History) *freqset.Set {
 	return a.set
 }
 
+// IgnoresHistory marks Sweep as sim.HistoryBlind.
+func (*Sweep) IgnoresHistory() {}
+
 // Bursty jams a random t-subset for On rounds, then is silent for Off
 // rounds, repeating. It models intermittent interference.
 type Bursty struct {
@@ -105,7 +117,7 @@ type Bursty struct {
 	empty   *freqset.Set
 }
 
-var _ sim.Adversary = (*Bursty)(nil)
+var _ sim.HistoryBlind = (*Bursty)(nil)
 
 // NewBursty returns a bursty jammer with the given on/off period lengths
 // (each forced to >= 1).
@@ -127,11 +139,15 @@ func (a *Bursty) Disrupt(round uint64, h *sim.History) *freqset.Set {
 	return a.empty
 }
 
+// IgnoresHistory marks Bursty as sim.HistoryBlind.
+func (*Bursty) IgnoresHistory() {}
+
 // busiest jams the t frequencies where the most nodes acted in the
 // previous round, ties broken toward lower frequencies, counting either
 // transmitters (NewReactive) or listeners (NewStalker). Before any round
 // has completed it jams the low prefix. It is adaptive but legal in the
-// model: it reads only completed history.
+// model: it reads only completed history. Not being sim.HistoryBlind, it
+// gets History.Last on the complete graph and on graphs alike.
 type busiest struct {
 	t         int
 	listeners bool // count listeners instead of transmitters
@@ -140,7 +156,7 @@ type busiest struct {
 	top       []int
 }
 
-var _ sim.HistoryReader = (*busiest)(nil)
+var _ sim.Adversary = (*busiest)(nil)
 
 // NewReactive returns a reactive jammer over [1..f] with budget t: each
 // round it jams the t frequencies that carried the most transmissions in
@@ -160,10 +176,6 @@ func newBusiest(f, t int, listeners bool) *busiest {
 	return &busiest{t: t, listeners: listeners, set: freqset.New(f),
 		cnt: make([]int, f+1), top: make([]int, 0, t)}
 }
-
-// ReadsHistory marks busiest as a sim.HistoryReader, so graph runs hand
-// it History.Last too.
-func (*busiest) ReadsHistory() {}
 
 // Disrupt jams the t busiest frequencies of the previous round.
 func (a *busiest) Disrupt(_ uint64, h *sim.History) *freqset.Set {
@@ -193,7 +205,7 @@ type LowPrefix struct {
 	set *freqset.Set
 }
 
-var _ sim.Adversary = (*LowPrefix)(nil)
+var _ sim.HistoryBlind = (*LowPrefix)(nil)
 
 // NewLowPrefix returns an adversary that always jams 1..tPrime over [1..f].
 func NewLowPrefix(f, tPrime int) *LowPrefix {
@@ -206,3 +218,6 @@ func NewLowPrefix(f, tPrime int) *LowPrefix {
 
 // Disrupt returns the fixed low prefix.
 func (a *LowPrefix) Disrupt(uint64, *sim.History) *freqset.Set { return a.set }
+
+// IgnoresHistory marks LowPrefix as sim.HistoryBlind.
+func (*LowPrefix) IgnoresHistory() {}

@@ -26,9 +26,15 @@
 // Reactive and Stalker are one type that differs only in which actions it
 // counts. Each round it counts the previous round's actions per frequency
 // and picks the t largest counts with freqset.TopT, ties going to the
-// lower frequency, in one pass over the band. It implements
-// sim.HistoryReader, so it reads History.Last on graphs (multihop runs)
-// as well as single-hop.
+// lower frequency, in one pass over the band.
+//
+// Every other adversary here ignores the execution and declares so by
+// implementing sim.HistoryBlind. The round core then skips building
+// round records when no observer is attached either. Reactive and Stalker
+// do not declare it, so they read History.Last on graphs (multihop runs)
+// as well as single-hop. The marker is opt-out on purpose: a wrapper
+// around a blind adversary (a timing shim, say) hides the marker and
+// only costs the record building, never a different result.
 //
 // All adversaries are deterministic given their construction parameters
 // (Random and Bursty take explicit seeds), keeping simulations reproducible.

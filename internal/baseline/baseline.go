@@ -147,14 +147,17 @@ func (w *Wakeup) Cohort() any {
 }
 
 // StepBatch implements sim.BatchAgent: one devirtualized loop over the
-// cohort's slab, writing straight into the engine's action arrays. Message
+// cohort's slab, writing straight into the engine's action arrays and
+// reading each node's output while its state is still in cache. Message
 // payloads are written only for transmitters.
-func (w *Wakeup) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (w *Wakeup) StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []sim.Output) {
 	nodes := w.arena.nodes
-	for j, id := range ids {
-		f, tx := nodes[id].step(locals[j], &actMsg[id])
+	for _, id := range ids {
+		nd := &nodes[id]
+		f, tx := nd.step(r-activation[id]+1, &actMsg[id])
 		actFreq[id] = f
 		actTx[id] = tx
+		outs[id] = nd.Output()
 	}
 }
 
@@ -254,10 +257,11 @@ func (s *SingleFreq) BroadcastProb() float64 { return s.inner.BroadcastProb() }
 // with the order decided by the identifier's parity. After SelfCommitFrames
 // silent frames it assumes leadership.
 type RoundRobin struct {
-	f   int
-	uid uint64
-	age uint64
-	out core.OutputState
+	f      int
+	uid    uint64
+	uidMod uint64 // uid % f, so a step needs only the one age/f division
+	age    uint64
+	out    core.OutputState
 
 	adopted   bool
 	committed bool
@@ -280,7 +284,8 @@ var (
 // NewRoundRobin returns a deterministic baseline node. The identifier is
 // still drawn randomly (the only randomness, mirroring a MAC address).
 func NewRoundRobin(n, f int, r *rng.Rand) *RoundRobin {
-	return &RoundRobin{f: f, uid: core.NewUID(r, n)}
+	uid := core.NewUID(r, n)
+	return &RoundRobin{f: f, uid: uid, uidMod: uid % uint64(f)}
 }
 
 // RoundRobinArena pools RoundRobin construction for one engine run.
@@ -303,7 +308,8 @@ func NewRoundRobinArena(n, f, count int) *RoundRobinArena {
 // sim.Config.NewAgent and performs no allocation.
 func (a *RoundRobinArena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 	rr := &a.nodes[id]
-	*rr = RoundRobin{f: a.f, uid: core.NewUID(r, a.n), arena: a}
+	uid := core.NewUID(r, a.n)
+	*rr = RoundRobin{f: a.f, uid: uid, uidMod: uid % uint64(a.f), arena: a}
 	return rr
 }
 
@@ -327,23 +333,34 @@ func (rr *RoundRobin) Cohort() any {
 }
 
 // StepBatch implements sim.BatchAgent: one devirtualized loop over the
-// cohort's slab, writing straight into the engine's action arrays. Message
+// cohort's slab, writing straight into the engine's action arrays and
+// reading each node's output while its state is still in cache. Message
 // payloads are written only for transmitters.
-func (rr *RoundRobin) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (rr *RoundRobin) StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []sim.Output) {
 	nodes := rr.arena.nodes
-	for j, id := range ids {
-		f, tx := nodes[id].step(locals[j], &actMsg[id])
+	for _, id := range ids {
+		nd := &nodes[id]
+		f, tx := nd.step(r-activation[id]+1, &actMsg[id])
 		actFreq[id] = f
 		actTx[id] = tx
+		outs[id] = nd.Output()
 	}
 }
 
 // step advances the node one local round, writing the outgoing message via
-// m only when it transmits.
+// m only when it transmits. The channel is 1 + (age+uid) mod F, taken from
+// the one age/F division that also yields the frame, and the message is
+// written in place rather than built in a temporary and copied.
 func (rr *RoundRobin) step(local uint64, m *msg.Message) (freq int32, transmit bool) {
 	rr.age = local
 	rr.out.Tick()
-	f := int32(1 + (rr.age+rr.uid)%uint64(rr.f))
+	fr := uint64(rr.f)
+	frame, slot := rr.age/fr, rr.age%fr
+	ch := slot + rr.uidMod
+	if ch >= fr {
+		ch -= fr
+	}
+	f := int32(1 + ch)
 	if rr.adopted {
 		return f, false
 	}
@@ -351,22 +368,19 @@ func (rr *RoundRobin) step(local uint64, m *msg.Message) (freq int32, transmit b
 		rr.committed = true
 		rr.out.Adopt(rr.age)
 	}
-	frame := (rr.age / uint64(rr.f)) & 1
-	sendFrame := rr.uid & 1
-	if frame == sendFrame {
-		round := rr.age
-		if rr.committed {
-			round = rr.out.Value()
-		}
-		*m = msg.Message{
-			Kind:   msg.KindLeader,
-			TS:     msg.Timestamp{Age: rr.age, UID: rr.uid},
-			Round:  round,
-			Scheme: rr.uid,
-		}
-		return f, true
+	if frame&1 != rr.uid&1 {
+		return f, false
 	}
-	return f, false
+	round := rr.age
+	if rr.committed {
+		round = rr.out.Value()
+	}
+	*m = msg.Message{}
+	m.Kind = msg.KindLeader
+	m.TS = msg.Timestamp{Age: rr.age, UID: rr.uid}
+	m.Round = round
+	m.Scheme = rr.uid
+	return f, true
 }
 
 // Deliver implements sim.Agent.

@@ -64,8 +64,10 @@ func NewUID(r *rng.Rand, n int) uint64 {
 // then the adopted value, incrementing by exactly one per round.
 //
 // Protocol usage: call Tick at the top of every Step; call Adopt when a
-// numbering is learned (value is the number for the current round); call
-// Output after deliveries to report the round's output.
+// numbering is learned (value is the number for the current round); read
+// Synced and Value to report the round's output. The engine reads a
+// node's output right after Step and again after Deliver when the node
+// received, so reporting must only read this state.
 type OutputState struct {
 	synced bool
 	value  uint64

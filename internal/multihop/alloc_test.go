@@ -45,12 +45,14 @@ func (a *allocAgent) Cohort() any {
 	return a.arena
 }
 
-func (a *allocAgent) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (a *allocAgent) StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []sim.Output) {
 	nodes := a.arena.nodes
-	for j, id := range ids {
-		f, tx := nodes[id].step(locals[j], &actMsg[id])
+	for _, id := range ids {
+		nd := &nodes[id]
+		f, tx := nd.step(r-activation[id]+1, &actMsg[id])
 		actFreq[id] = f
 		actTx[id] = tx
+		outs[id] = nd.Output()
 	}
 }
 
@@ -65,6 +67,29 @@ func (a *allocArena) NewAgent(id sim.NodeID, activation uint64, r *rng.Rand) sim
 	nd := &a.nodes[id]
 	*nd = allocAgent{r: r, f: a.f, arena: a}
 	return nd
+}
+
+// unmarkedAdversary forwards to an inner adversary without declaring
+// sim.HistoryBlind, so the round core builds records and hands them out
+// as History.Last even though nothing reads them.
+type unmarkedAdversary struct{ sim.Adversary }
+
+// allocJammers names the two record modes every alloc test runs under:
+// adversary.NewRandom as it is (HistoryBlind: no records) and wrapped in
+// an unmarkedAdversary (records built every round).
+var allocJammers = []struct {
+	name  string
+	blind bool
+}{{"unmarked", false}, {"blind", true}}
+
+// allocJammer returns adversary.NewRandom over [1..f] with budget jam,
+// wrapped to hide its HistoryBlind marker unless blind is set.
+func allocJammer(f, jam int, blind bool) sim.Adversary {
+	a := adversary.NewRandom(f, jam, 99)
+	if blind {
+		return a
+	}
+	return unmarkedAdversary{a}
 }
 
 // allocSchedule activates node i in round s[i].
@@ -135,9 +160,10 @@ func roundAllocs(t *testing.T, warm uint64, mk func(maxRounds uint64) *Config) f
 // the multi-hop half of the zero-alloc hot-path contract. The white-box
 // pins of the round core itself live in internal/sim; this one adds the
 // driver: config translation happens once per run, and a churned round's
-// delta application patches warmed adjacency in place. The adaptive case
-// jams with adversary.NewReactive, a sim.HistoryReader, so every round
-// also builds its record and hands it to the jammer.
+// delta application patches warmed adjacency in place. Each path runs
+// with an unmarked and with a HistoryBlind jammer; the adaptive case jams
+// with adversary.NewReactive, which reads History.Last, so every round
+// builds its record and hands it to the jammer.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name     string
@@ -148,40 +174,47 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{name: "churned", m: sim.MediumIndexed, churn: true},
 		{name: "adaptive", m: sim.MediumIndexed, adaptive: true}} {
 		t.Run(path.name, func(t *testing.T) {
-			const f, jam = 16, 4
-			mk := func(maxRounds uint64) *Config {
-				cfg := &Config{
-					F:        f,
-					T:        jam,
-					Seed:     7,
-					Topology: Grid(8, 8),
-					NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-						return &allocAgent{r: r, f: f}
-					},
-					Adversary: adversary.NewRandom(f, jam, 99),
-					MaxRounds: maxRounds,
-					RunToMax:  true,
-					Medium:    path.m,
+			for _, jammer := range allocJammers {
+				if path.adaptive && jammer.blind {
+					continue
 				}
-				if path.churn {
-					cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
-				}
-				if path.adaptive {
-					cfg.Adversary = adversary.NewReactive(f, jam)
-				}
-				return cfg
-			}
-			if allocs := roundAllocs(t, 64, mk); allocs >= 1 {
-				t.Fatalf("steady-state round allocates %.2f objects, want 0", allocs)
-			}
-			if path.churn {
-				res, err := Run(mk(164))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.ChurnRounds == 0 {
-					t.Fatal("churned subtest never applied a delta; the alloc check ran vacuously")
-				}
+				t.Run(jammer.name, func(t *testing.T) {
+					const f, jam = 16, 4
+					mk := func(maxRounds uint64) *Config {
+						cfg := &Config{
+							F:        f,
+							T:        jam,
+							Seed:     7,
+							Topology: Grid(8, 8),
+							NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+								return &allocAgent{r: r, f: f}
+							},
+							Adversary: allocJammer(f, jam, jammer.blind),
+							MaxRounds: maxRounds,
+							RunToMax:  true,
+							Medium:    path.m,
+						}
+						if path.churn {
+							cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)
+						}
+						if path.adaptive {
+							cfg.Adversary = adversary.NewReactive(f, jam)
+						}
+						return cfg
+					}
+					if allocs := roundAllocs(t, 64, mk); allocs >= 1 {
+						t.Fatalf("steady-state round allocates %.2f objects, want 0", allocs)
+					}
+					if path.churn {
+						res, err := Run(mk(164))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.ChurnRounds == 0 {
+							t.Fatal("churned subtest never applied a delta; the alloc check ran vacuously")
+						}
+					}
+				})
 			}
 		})
 	}
@@ -190,8 +223,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 // TestActivationRoundAllocs extends the zero-alloc contract to activation
 // rounds on multi-hop runs: with arena-built agents, a round that wakes
 // new nodes (Wake, arena construction, cohort insertion) allocates
-// nothing. Four stragglers activate inside the measured window.
+// nothing, with an unmarked and with a HistoryBlind jammer. Four
+// stragglers activate inside the measured window.
 func TestActivationRoundAllocs(t *testing.T) {
+	for _, jammer := range allocJammers {
+		t.Run(jammer.name, func(t *testing.T) { activationRoundAllocs(t, jammer.blind) })
+	}
+}
+
+func activationRoundAllocs(t *testing.T, blind bool) {
 	const f, jam = 16, 4
 	n := Grid(8, 8).N()
 	sched := make(allocSchedule, n)
@@ -209,7 +249,7 @@ func TestActivationRoundAllocs(t *testing.T) {
 			Topology:  Grid(8, 8),
 			NewAgent:  arena.NewAgent,
 			Schedule:  sched,
-			Adversary: adversary.NewRandom(f, jam, 99),
+			Adversary: allocJammer(f, jam, blind),
 			MaxRounds: maxRounds,
 			RunToMax:  true,
 		}

@@ -44,10 +44,10 @@ type ChurnModel interface {
 
 // Config describes one multi-hop simulation. It reuses the single-hop
 // model's agents, schedules, and adversaries; only medium resolution
-// changes. An adaptive adversary that implements sim.HistoryReader
-// (adversary.NewReactive, adversary.NewStalker) reads each round's
-// record through History.Last as it does single-hop; any other adversary
-// sees History.Last nil.
+// changes. History.Last follows the single-hop rule: any adversary that
+// does not implement sim.HistoryBlind (adversary.NewReactive and
+// adversary.NewStalker among them) reads each round's record through it,
+// and a blind one sees it nil unless observers are attached.
 type Config struct {
 	// F is the number of frequencies; T the adversary's per-round budget.
 	F int
@@ -75,9 +75,9 @@ type Config struct {
 	// "clear broadcast" is a single-hop, shared-medium notion), so
 	// observers like trace.Recorder work on churned multi-hop runs
 	// unchanged. Record storage is reused between rounds — the
-	// sim.Observer contract. With no observers and no sim.HistoryReader
-	// adversary the core skips all record building; either way the
-	// round loop stays allocation-free.
+	// sim.Observer contract. With no observers and a nil or
+	// sim.HistoryBlind adversary the core skips all record building;
+	// either way the round loop stays allocation-free.
 	Observers []sim.Observer
 	// Medium selects the medium-resolution path, mirroring sim.Config.
 	// The zero value (sim.MediumIndexed) is the frequency-indexed fast

@@ -37,6 +37,30 @@ func (a *allocJammer) Disrupt(uint64, *History) *freqset.Set {
 	return a.set
 }
 
+// blindAllocJammer is allocJammer declared HistoryBlind: with no
+// observers, rounds run without building a record at all.
+type blindAllocJammer struct{ allocJammer }
+
+func (*blindAllocJammer) IgnoresHistory() {}
+
+// newAllocAdversary returns the allocJammer with budget jam over [1..f],
+// declared HistoryBlind when blind is set.
+func newAllocAdversary(f, jam int, blind bool) Adversary {
+	a := allocJammer{f: f, t: jam, r: rng.New(99), set: freqset.New(f), scratch: make([]int, 0, jam)}
+	if blind {
+		return &blindAllocJammer{a}
+	}
+	return &a
+}
+
+// allocJammers names the two record modes every alloc test runs under: an
+// unmarked jammer (records built and shared as History.Last) and a blind
+// one (no records).
+var allocJammers = []struct {
+	name  string
+	blind bool
+}{{"unmarked", false}, {"blind", true}}
+
 // steadyAgent transmits with probability 1/2 on a random frequency and
 // never syncs, so a driven round exercises the step, resolve, deliver,
 // and output-recording paths indefinitely. Its message carries no slices
@@ -75,12 +99,14 @@ func (a *steadyAgent) Cohort() any {
 	return a.arena
 }
 
-func (a *steadyAgent) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (a *steadyAgent) StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []Output) {
 	nodes := a.arena.nodes
-	for j, id := range ids {
-		f, tx := nodes[id].step(locals[j], &actMsg[id])
+	for _, id := range ids {
+		nd := &nodes[id]
+		f, tx := nd.step(r-activation[id]+1, &actMsg[id])
 		actFreq[id] = f
 		actTx[id] = tx
+		outs[id] = nd.Output()
 	}
 }
 
@@ -226,6 +252,7 @@ func removeSorted(s []int, x int) []int {
 // allocation-free once warm. The graph variants run the same core on an
 // 8×8 grid, as multihop's drivers do; graph-churned installs a per-round
 // edge-flip hook, the dynamic-topology path churned multihop runs take.
+// Every variant runs with an unmarked and with a HistoryBlind jammer.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
@@ -238,73 +265,77 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{name: "graph-scan", m: MediumScan, graph: true},
 		{name: "graph-churned", m: MediumIndexed, graph: true, churn: true}} {
 		t.Run(path.name, func(t *testing.T) {
-			const f, jam, n = 16, 4, 64
-			cfg := &Config{
-				F:    f,
-				T:    jam,
-				Seed: 7,
-				NewAgent: func(id NodeID, activation uint64, r *rng.Rand) Agent {
-					return &steadyAgent{r: r, f: f}
-				},
-				Adversary: &allocJammer{
-					f: f, t: jam, r: rng.New(99), set: freqset.New(f),
-					scratch: make([]int, 0, jam),
-				},
-				RunToMaxRounds: true,
-				Medium:         path.m,
-			}
-			cfg.Schedule = Simultaneous{Count: n}
-			var graph medium.Graph
-			var flip *allocFlip
-			if path.graph {
-				grid := newAllocGrid(8, 8)
-				graph = grid
-				if path.churn {
-					flip = newAllocFlip(grid, 0.2, 123)
-				}
-			}
-			e, err := newEngine(cfg, graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if flip != nil {
-				e.graphAt = flip.graphAt
-			}
-			// Warm-up: activate everyone and let every growable buffer
-			// (active list, touched/listener/pending lists, the round
-			// record) reach its working capacity.
-			var complete *allocCompleteGraph
-			swap := path.churn && !path.graph
-			if swap {
-				complete = newAllocCompleteGraph(n)
-			}
-			r := uint64(0)
-			for ; r < 64; r++ {
-				if swap {
-					if r%2 == 0 {
-						e.med.SetGraph(complete)
-					} else {
-						e.med.SetGraph(nil)
+			for _, jammer := range allocJammers {
+				t.Run(jammer.name, func(t *testing.T) {
+					const f, jam, n = 16, 4, 64
+					cfg := &Config{
+						F:    f,
+						T:    jam,
+						Seed: 7,
+						NewAgent: func(id NodeID, activation uint64, r *rng.Rand) Agent {
+							return &steadyAgent{r: r, f: f}
+						},
+						Adversary:      newAllocAdversary(f, jam, jammer.blind),
+						RunToMaxRounds: true,
+						Medium:         path.m,
 					}
-				}
-				e.runRound(r + 1)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				r++
-				if swap {
-					if r%2 == 0 {
-						e.med.SetGraph(complete)
-					} else {
-						e.med.SetGraph(nil)
+					cfg.Schedule = Simultaneous{Count: n}
+					var graph medium.Graph
+					var flip *allocFlip
+					if path.graph {
+						grid := newAllocGrid(8, 8)
+						graph = grid
+						if path.churn {
+							flip = newAllocFlip(grid, 0.2, 123)
+						}
 					}
-				}
-				e.runRound(r)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
-			}
-			if flip != nil && flip.flips == 0 {
-				t.Fatal("graph-churned subtest never flipped an edge; the alloc check ran vacuously")
+					e, err := newEngine(cfg, graph)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if flip != nil {
+						e.graphAt = flip.graphAt
+					}
+					// Warm-up: activate everyone and let every growable buffer
+					// (active list, touched/listener/pending lists, the round
+					// record) reach its working capacity.
+					var complete *allocCompleteGraph
+					swap := path.churn && !path.graph
+					if swap {
+						complete = newAllocCompleteGraph(n)
+					}
+					r := uint64(0)
+					for ; r < 64; r++ {
+						if swap {
+							if r%2 == 0 {
+								e.med.SetGraph(complete)
+							} else {
+								e.med.SetGraph(nil)
+							}
+						}
+						e.runRound(r + 1)
+					}
+					allocs := testing.AllocsPerRun(100, func() {
+						r++
+						if swap {
+							if r%2 == 0 {
+								e.med.SetGraph(complete)
+							} else {
+								e.med.SetGraph(nil)
+							}
+						}
+						e.runRound(r)
+					})
+					if allocs != 0 {
+						t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
+					}
+					if flip != nil && flip.flips == 0 {
+						t.Fatal("graph-churned subtest never flipped an edge; the alloc check ran vacuously")
+					}
+					if e.record == jammer.blind {
+						t.Fatalf("record = %v with a blind=%v jammer and no observers", e.record, jammer.blind)
+					}
+				})
 			}
 		})
 	}
@@ -318,6 +349,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // Wake, arena construction, and cohort insertion (batch variant) or the
 // sorted solo list (solo variant) under AllocsPerRun. The graph variant
 // runs the straggler wave on an 8×8 grid, the multihop activation path.
+// Every variant runs with an unmarked and with a HistoryBlind jammer.
 func TestActivationRoundAllocs(t *testing.T) {
 	const f, jam, n = 16, 4, 64
 	for _, tc := range []struct {
@@ -326,46 +358,47 @@ func TestActivationRoundAllocs(t *testing.T) {
 		graph bool
 	}{{name: "batch"}, {name: "solo", solo: true}, {name: "graph", graph: true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sched := make(allocSchedule, n)
-			for i := range sched {
-				sched[i] = 1
-			}
-			// Stragglers activate at rounds 72..102, inside the window.
-			sched[n-4], sched[n-3], sched[n-2], sched[n-1] = 72, 82, 92, 102
-			arena := &steadyArena{f: f, solo: tc.solo, nodes: make([]steadyAgent, n)}
-			cfg := &Config{
-				F:        f,
-				T:        jam,
-				Seed:     7,
-				NewAgent: arena.NewAgent,
-				Adversary: &allocJammer{
-					f: f, t: jam, r: rng.New(99), set: freqset.New(f),
-					scratch: make([]int, 0, jam),
-				},
-				RunToMaxRounds: true,
-				Schedule:       sched,
-			}
-			var graph medium.Graph
-			if tc.graph {
-				graph = newAllocGrid(8, 8)
-			}
-			e, err := newEngine(cfg, graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := uint64(0)
-			for ; r < 64; r++ {
-				e.runRound(r + 1)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				r++
-				e.runRound(r)
-			})
-			if allocs != 0 {
-				t.Fatalf("activation-inclusive round allocates %.1f objects, want 0", allocs)
-			}
-			if got := len(e.act.Active()); got != n {
-				t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", got, n)
+			for _, jammer := range allocJammers {
+				t.Run(jammer.name, func(t *testing.T) {
+					sched := make(allocSchedule, n)
+					for i := range sched {
+						sched[i] = 1
+					}
+					// Stragglers activate at rounds 72..102, inside the window.
+					sched[n-4], sched[n-3], sched[n-2], sched[n-1] = 72, 82, 92, 102
+					arena := &steadyArena{f: f, solo: tc.solo, nodes: make([]steadyAgent, n)}
+					cfg := &Config{
+						F:              f,
+						T:              jam,
+						Seed:           7,
+						NewAgent:       arena.NewAgent,
+						Adversary:      newAllocAdversary(f, jam, jammer.blind),
+						RunToMaxRounds: true,
+						Schedule:       sched,
+					}
+					var graph medium.Graph
+					if tc.graph {
+						graph = newAllocGrid(8, 8)
+					}
+					e, err := newEngine(cfg, graph)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := uint64(0)
+					for ; r < 64; r++ {
+						e.runRound(r + 1)
+					}
+					allocs := testing.AllocsPerRun(100, func() {
+						r++
+						e.runRound(r)
+					})
+					if allocs != 0 {
+						t.Fatalf("activation-inclusive round allocates %.1f objects, want 0", allocs)
+					}
+					if got := len(e.act.Active()); got != n {
+						t.Fatalf("only %d of %d nodes activated; the window missed the stragglers", got, n)
+					}
+				})
 			}
 		})
 	}

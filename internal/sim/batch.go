@@ -7,13 +7,14 @@ import "wsync/internal/msg"
 // the engine's struct-of-arrays action state. The engine groups awake nodes
 // into cohorts by the Cohort key at activation and calls StepBatch once per
 // cohort per round instead of making one virtual Step call (plus an Action
-// copy) per node.
+// copy and an Output call) per node.
 //
-// Implementations must be observationally identical to calling Step on each
-// cohort member in ascending id order: same frequency and transmit choices,
-// same message payloads for transmitters, and — critically — the same
-// per-node rng draws. The engines' differential tests
-// (TestBatchStepMatchesPerNode) pin this byte for byte.
+// Implementations must be observationally identical to calling Step and
+// then Output on each cohort member in ascending id order: same frequency
+// and transmit choices, same message payloads for transmitters, same
+// outputs, and — critically — the same per-node rng draws. The engines'
+// differential tests (TestBatchStepMatchesPerNode, FuzzDispatchPaths) pin
+// this byte for byte.
 type BatchAgent interface {
 	Agent
 	// Cohort returns the key that decides which agents batch together: two
@@ -22,20 +23,20 @@ type BatchAgent interface {
 	// batching (it is stepped through the per-node fallback). Arena-built
 	// agents return their arena pointer, so one cohort is exactly one slab.
 	Cohort() any
-	// StepBatch advances every node in ids (ascending) for its local round
-	// locals[j], storing node ids[j]'s choice at actFreq[ids[j]] and
-	// actTx[ids[j]], and writing actMsg[ids[j]] only when it transmits —
-	// stale message entries are never read by the resolver.
-	StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message)
+	// StepBatch advances every node id in ids (ascending) for global round
+	// r, that is for its local round r-activation[id]+1. It stores the
+	// node's choice at actFreq[id] and actTx[id], writes actMsg[id] only
+	// when the node transmits — stale message entries are never read by
+	// the resolver — and stores the node's post-Step Output at outs[id].
+	StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []Output)
 }
 
 // batchCohort is one group of agents that advance together. rep is any
 // member; StepBatch is dispatched through it.
 type batchCohort struct {
-	key    any
-	rep    BatchAgent
-	ids    []int
-	locals []uint64
+	key any
+	rep BatchAgent
+	ids []int
 }
 
 // batchCohorts maintains the cohort grouping for one engine run. Cohort
@@ -72,15 +73,13 @@ func (b *batchCohorts) Add(i int, a Agent) {
 					c := &b.cohorts[ci]
 					if c.key == key {
 						c.ids = insertSorted(c.ids, i)
-						c.locals = append(c.locals, 0)
 						return
 					}
 				}
 				b.cohorts = append(b.cohorts, batchCohort{
-					key:    key,
-					rep:    ba,
-					ids:    append(make([]int, 0, b.n), i),
-					locals: make([]uint64, 1, b.n),
+					key: key,
+					rep: ba,
+					ids: append(make([]int, 0, b.n), i),
 				})
 				return
 			}
@@ -90,14 +89,11 @@ func (b *batchCohorts) Add(i int, a Agent) {
 }
 
 // StepBatches advances every cohort for global round r: one StepBatch call
-// per cohort, with per-member local rounds derived from activation.
-func (b *batchCohorts) StepBatches(r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+// per cohort.
+func (b *batchCohorts) StepBatches(r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []Output) {
 	for ci := range b.cohorts {
 		c := &b.cohorts[ci]
-		for j, id := range c.ids {
-			c.locals[j] = r - activation[id] + 1
-		}
-		c.rep.StepBatch(c.ids, c.locals, actFreq, actTx, actMsg)
+		c.rep.StepBatch(c.ids, r, activation, actFreq, actTx, actMsg, outs)
 	}
 }
 

@@ -3,7 +3,8 @@ package sim
 import "sync"
 
 // workerCmd starts one barrier-separated half of a round on a worker:
-// activation and Step, or (deliver set) Deliver and Output.
+// activation, Step and Output, or (deliver set) Deliver and Output for
+// the nodes that received.
 type workerCmd struct {
 	round   uint64
 	deliver bool
@@ -18,9 +19,6 @@ type workerPool struct {
 	cmds []chan workerCmd
 	done chan struct{}
 	wg   sync.WaitGroup
-	// outs[i] is node i's post-delivery output, written by its worker in
-	// the deliver phase.
-	outs []Output
 }
 
 // RunConcurrent executes the simulation with node agents distributed over
@@ -45,7 +43,6 @@ func (e *engine) startWorkers() (stop func()) {
 	p := &workerPool{
 		cmds: make([]chan workerCmd, stride),
 		done: make(chan struct{}, stride),
-		outs: make([]Output, e.n),
 	}
 	for w := range p.cmds {
 		p.cmds[w] = make(chan workerCmd)
@@ -69,11 +66,10 @@ func (e *engine) work(p *workerPool, w, stride int) {
 	for cmd := range p.cmds[w] {
 		for i := w; i < e.n; i += stride {
 			if cmd.deliver {
-				if e.active[i] {
-					if e.hasPending[i] {
-						e.agents[i].Deliver(e.pending[i])
-					}
-					p.outs[i] = e.agents[i].Output()
+				if e.hasPending[i] {
+					a := e.agents[i]
+					a.Deliver(e.pending[i])
+					e.outs[i] = a.Output()
 				}
 				continue
 			}

@@ -27,9 +27,16 @@
 // an optional per-round graph hook for dynamic topologies; it is the
 // entry point of the multi-hop drivers in internal/multihop. Work only
 // the single-hop model needs (per-frequency classification, Clear and
-// FirstClear) runs only on the complete graph, and on a graph round
-// records are built only when observers or a HistoryReader adversary
-// read them.
+// FirstClear) runs only on the complete graph.
+//
+// A round touches each awake node's state once, in the step pass: batch
+// cohorts (BatchAgent) and the per-node fallback both store the node's
+// action and its Output right after stepping it, and only nodes that
+// receive a message have Output read again, after Deliver. Round records
+// follow one rule on both topologies: the core builds them, and hands
+// them to the adversary as History.Last, iff an observer is attached or
+// the adversary is non-nil and not HistoryBlind. Every other run skips
+// record building altogether.
 //
 // Orthogonally to the engine choice, Config.Medium selects how the
 // medium is resolved each round. The default frequency-indexed path —

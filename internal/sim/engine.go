@@ -54,6 +54,12 @@ type engine struct {
 	actMsg  []msg.Message // per node: payload, valid only for transmitters
 	active  []bool        // per node
 
+	// outs[i] is node i's output this round: stored by the step pass
+	// right after stepping the node, and re-read after Deliver only for
+	// the nodes that received. Inactive nodes keep the zero (⊥) Output.
+	// Round records alias it as RoundRecord.Outputs.
+	outs []Output
+
 	// act tracks activation buckets and the sorted awake list; med is the
 	// shared frequency-indexed resolver (internal/medium). Together they
 	// make per-round activation and medium resolution cost O(awake), not
@@ -86,14 +92,11 @@ type engine struct {
 	rec  RoundRecord
 	res  Result
 
-	// record gates building rec's actions, deliveries, and outputs. It is
-	// always set on the complete graph; on a graph it is set only when
-	// observers or a HistoryReader adversary read the record, so other
-	// graph runs pay only dead branch checks. shareLast gates handing the
-	// record to the adversary as History.Last: always on the complete
-	// graph, and on a graph only to a HistoryReader, so adding observers
-	// never changes what an adversary sees.
-	record, shareLast bool
+	// record gates building rec's actions and deliveries and handing it
+	// out as History.Last. It is set iff observers are attached or the
+	// adversary is non-nil and not HistoryBlind, on either topology, so
+	// other runs pay only dead branch checks.
+	record bool
 
 	// workers runs the per-node halves of each round on goroutines; nil on
 	// the serial path.
@@ -107,7 +110,7 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		return nil, err
 	}
 	n := cfg.Schedule.N()
-	_, readsHistory := cfg.Adversary.(HistoryReader)
+	_, blind := cfg.Adversary.(HistoryBlind)
 	e := &engine{
 		cfg:        cfg,
 		n:          n,
@@ -118,13 +121,13 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		actTx:      make([]bool, n),
 		actMsg:     make([]msg.Message, n),
 		active:     make([]bool, n),
+		outs:       make([]Output, n),
 		pending:    make([]msg.Message, n),
 		hasPending: make([]bool, n),
 		emptySet:   freqset.New(cfg.F),
 		batch:      newBatchCohorts(n, cfg.NoBatch),
 		graph:      graph,
-		record:     graph == nil || readsHistory || len(cfg.Observers) > 0,
-		shareLast:  graph == nil || readsHistory,
+		record:     len(cfg.Observers) > 0 || (cfg.Adversary != nil && !blind),
 	}
 	master := rng.New(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -138,14 +141,11 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		Activated: make([]uint64, n),
 		Received:  make([]bool, n),
 	}
+	e.rec = RoundRecord{Disrupted: e.emptySet, Clear: make([]int, 0, 4)}
 	if e.record {
-		e.rec = RoundRecord{
-			Disrupted:  e.emptySet,
-			Actions:    make([]ActionRecord, 0, n),
-			Deliveries: make([]Delivery, 0, n),
-			Clear:      make([]int, 0, 4),
-			Outputs:    make([]Output, n),
-		}
+		e.rec.Actions = make([]ActionRecord, 0, n)
+		e.rec.Deliveries = make([]Delivery, 0, n)
+		e.rec.Outputs = e.outs
 	}
 	if cfg.ProbeWeights {
 		e.rec.Weights = make([]float64, n)
@@ -406,30 +406,12 @@ func wireRoundTrip(from NodeID, m msg.Message) msg.Message {
 	return decoded
 }
 
-// recordOutputs stores post-round outputs and updates sync bookkeeping.
-// Inactive nodes' entries stay the zero Output they were allocated with
-// (nodes never deactivate), so only awake nodes need visiting; without a
-// record to fill, synchronized nodes need no visit either.
+// recordOutputs updates sync bookkeeping from this round's outputs, which
+// the step and deliver passes left in e.outs (also the record's Outputs).
 func (e *engine) recordOutputs(r uint64) {
-	record, syncRound := e.record, e.res.SyncRound
-	var collected []Output // the workers' outputs on the concurrent path
-	if e.workers != nil {
-		collected = e.workers.outs
-	}
+	outs, syncRound := e.outs, e.res.SyncRound
 	for _, i := range e.act.Active() {
-		if !record && syncRound[i] != 0 {
-			continue
-		}
-		var out Output
-		if collected != nil {
-			out = collected[i]
-		} else {
-			out = e.agents[i].Output()
-		}
-		if record {
-			e.rec.Outputs[i] = out
-		}
-		if out.Synced && syncRound[i] == 0 {
+		if outs[i].Synced && syncRound[i] == 0 {
 			syncRound[i] = r
 			e.syncedCount++
 		}
@@ -441,7 +423,7 @@ func (e *engine) recordOutputs(r uint64) {
 func (e *engine) observeAndCheckStop(r uint64) bool {
 	e.res.Stats.Rounds = r
 	e.hist.Completed = r
-	if e.shareLast {
+	if e.record {
 		e.hist.Last = &e.rec
 	}
 	for _, ob := range e.cfg.Observers {
@@ -503,15 +485,18 @@ func (e *engine) finalize(hitMax bool) *Result {
 }
 
 // stepAgent advances node i for global round r and stores its choice in
-// the struct-of-arrays action state. The message payload is copied only
-// for transmitters; listeners' stale entries are never read.
+// the struct-of-arrays action state, and its post-Step output in e.outs.
+// The message payload is copied only for transmitters; listeners' stale
+// entries are never read.
 func (e *engine) stepAgent(i int, r uint64) {
-	a := e.agents[i].Step(r - e.activation[i] + 1)
+	ag := e.agents[i]
+	a := ag.Step(r - e.activation[i] + 1)
 	e.actFreq[i] = int32(a.Freq)
 	e.actTx[i] = a.Transmit
 	if a.Transmit {
 		e.actMsg[i] = a.Msg
 	}
+	e.outs[i] = ag.Output()
 }
 
 // step advances every awake node for round r: batched cohorts first, then
@@ -527,22 +512,24 @@ func (e *engine) step(r uint64) {
 			e.probeWeight(i)
 		}
 	}
-	e.batch.StepBatches(r, e.activation, e.actFreq, e.actTx, e.actMsg)
+	e.batch.StepBatches(r, e.activation, e.actFreq, e.actTx, e.actMsg, e.outs)
 	for _, i := range e.batch.Solo() {
 		e.stepAgent(i, r)
 	}
 }
 
-// deliver hands this round's receptions to their listeners — on the
-// concurrent path behind the workers' deliver barrier, which also
-// collects every awake node's output.
+// deliver hands this round's receptions to their listeners and re-reads
+// each receiver's output — on the concurrent path behind the workers'
+// deliver barrier. Every other node's output is the one its step stored.
 func (e *engine) deliver(r uint64) {
 	if e.workers != nil {
 		e.workers.barrier(workerCmd{round: r, deliver: true})
 		return
 	}
 	for _, i := range e.pendingList {
-		e.agents[i].Deliver(e.pending[i])
+		a := e.agents[i]
+		a.Deliver(e.pending[i])
+		e.outs[i] = a.Output()
 	}
 }
 
@@ -610,9 +597,9 @@ func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, ni
 //
 // Stats.Collisions counts (receiver, round) pairs with two or more
 // transmitting neighbors; FirstClear, Clear, DisruptedLosses, and
-// ClearBroadcasts stay zero. Round records are built only for
-// cfg.Observers and for a HistoryReader adversary, History.Last is set
-// only for the latter, and TotalNodeRounds is not updated.
+// ClearBroadcasts stay zero. Round records and History.Last follow the
+// same rule as Run's (see HistoryBlind), and TotalNodeRounds is not
+// updated.
 func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
 	switch {
 	case g == nil:

@@ -29,7 +29,9 @@ type Output struct {
 
 // Agent is one node's protocol instance. The engine calls Step exactly once
 // per round while the node is active, then Deliver at most once (only if
-// the node listened and a message arrived), then Output.
+// the node listened and a message arrived). It reads Output right after
+// Step and, for a node that received a message, again after Deliver; the
+// last value read in a round is the node's output for that round.
 //
 // Agents are driven by a single goroutine at a time and need no internal
 // locking.
@@ -40,7 +42,9 @@ type Agent interface {
 	// Deliver hands the node a received message. The message is a value
 	// copy; retaining slices requires Clone.
 	Deliver(m msg.Message)
-	// Output returns the node's current output (called after delivery).
+	// Output returns the node's current output. The engine may call it
+	// twice in one round (after Step and after Deliver), so it must be a
+	// pure read of the node's state.
 	Output() Output
 }
 
@@ -79,19 +83,23 @@ type Adversary interface {
 	Disrupt(round uint64, hist *History) *freqset.Set
 }
 
-// HistoryReader is an Adversary whose choices read History.Last. On the
-// complete graph every adversary gets History.Last. On a graph (RunGraph)
-// the core builds round records only when something reads them, so it
-// sets History.Last only for a HistoryReader; every other adversary sees
-// it nil there.
-type HistoryReader interface {
+// HistoryBlind is an Adversary whose choices never read History.Last.
+// The core builds round records, and sets History.Last, only when
+// observers are attached or the adversary is non-nil and not HistoryBlind;
+// a run with a blind adversary and no observers skips record building
+// entirely. The marker is an opt-out: an adversary that does not declare
+// it — including a wrapper that hides an inner adversary's marker —
+// always sees History.Last, so a missing marker costs speed but never
+// changes a result.
+type HistoryBlind interface {
 	Adversary
-	ReadsHistory()
+	IgnoresHistory()
 }
 
 // RoundRecord describes one completed round. Records handed to observers
 // and adversaries are only valid during the call; the engine reuses their
-// backing storage.
+// backing storage. The engine fills a record only when something reads it
+// (see HistoryBlind).
 type RoundRecord struct {
 	Round     uint64
 	Disrupted *freqset.Set
@@ -137,7 +145,8 @@ type History struct {
 	// Completed is the number of completed rounds.
 	Completed uint64
 	// Last is the record of the most recently completed round; nil before
-	// the first round completes.
+	// the first round completes, and nil throughout a run with no
+	// observers whose adversary is nil or HistoryBlind.
 	Last *RoundRecord
 	// Activated[i] is node i's activation round (0 if not yet active).
 	Activated []uint64

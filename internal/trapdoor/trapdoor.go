@@ -405,14 +405,17 @@ func (n *Node) Cohort() any {
 }
 
 // StepBatch implements sim.BatchAgent: one devirtualized loop over the
-// cohort's slab, writing straight into the engine's action arrays. Message
+// cohort's slab, writing straight into the engine's action arrays and
+// reading each node's output while its state is still in cache. Message
 // payloads are written only for transmitters.
-func (n *Node) StepBatch(ids []int, locals []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message) {
+func (n *Node) StepBatch(ids []int, r uint64, activation []uint64, actFreq []int32, actTx []bool, actMsg []msg.Message, outs []sim.Output) {
 	nodes := n.arena.nodes
-	for j, id := range ids {
-		f, tx := nodes[id].step(locals[j], &actMsg[id])
+	for _, id := range ids {
+		nd := &nodes[id]
+		f, tx := nd.step(r-activation[id]+1, &actMsg[id])
 		actFreq[id] = f
 		actTx[id] = tx
+		outs[id] = nd.Output()
 	}
 }
 

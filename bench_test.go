@@ -478,7 +478,7 @@ func BenchmarkX7Multihop(b *testing.B) {
 // per shape IS the speedup. The schedule trickles the nodes in (the -full
 // sweep tier's shape): the scan path walks all N schedule slots and every
 // listener's full neighborhood each round, while the indexed path touches
-// only awake nodes and intersects frequency buckets with neighborhoods —
+// only awake nodes and pushes each transmission to its listening neighbors —
 // the acceptance bar is a measurable node-rounds/s win on RGG at N ≥ 1024.
 func BenchmarkMultihopThroughput(b *testing.B) {
 	p := trapdoor.Params{N: 64, F: 24, T: 2}

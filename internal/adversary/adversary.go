@@ -50,10 +50,9 @@ func (*Fixed) IgnoresHistory() {}
 // oblivious adversary: its choices depend only on its seed, never on the
 // execution.
 type Random struct {
-	f, t    int
-	r       *rng.Rand
-	set     *freqset.Set
-	scratch []int
+	f, t int
+	r    *rng.Rand
+	set  *freqset.Set
 }
 
 var _ sim.HistoryBlind = (*Random)(nil)
@@ -61,16 +60,21 @@ var _ sim.HistoryBlind = (*Random)(nil)
 // NewRandom returns a Random adversary over [1..f] disrupting t frequencies
 // per round, driven by seed.
 func NewRandom(f, t int, seed uint64) *Random {
-	return &Random{f: f, t: t, r: rng.New(seed), set: freqset.New(f), scratch: make([]int, 0, t)}
+	return &Random{f: f, t: t, r: rng.New(seed), set: freqset.New(f)}
 }
 
-// Disrupt returns a fresh uniform t-subset. The sample buffer is reused
-// across rounds, so a steady-state Disrupt performs no heap allocation.
+// Disrupt returns a fresh uniform t-subset, drawn by Floyd's algorithm
+// straight into the set: the same Intn draws as rng.SampleK, with the set
+// answering its duplicate checks, so a steady-state Disrupt performs no
+// heap allocation.
 func (a *Random) Disrupt(uint64, *sim.History) *freqset.Set {
 	a.set.Clear()
-	a.scratch = a.r.SampleKInto(a.f, a.t, a.scratch)
-	for _, idx := range a.scratch {
-		a.set.Add(idx + 1)
+	for j := a.f - a.t; j < a.f; j++ {
+		v := a.r.Intn(j+1) + 1
+		if a.set.Contains(v) {
+			v = j + 1
+		}
+		a.set.Add(v)
 	}
 	return a.set
 }

@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"wsync/internal/freqset"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
@@ -35,8 +36,8 @@ func TestPrefix(t *testing.T) {
 	}
 }
 
-// TestRandomDisruptAllocs pins the reused sample buffer: after the first
-// draw, Disrupt performs no heap allocation. Random sits inside the
+// TestRandomDisruptAllocs pins the in-place draw: after the first round,
+// Disrupt performs no heap allocation. Random sits inside the
 // engines' zero-alloc round loop (TestSteadyStateAllocs in internal/sim
 // and internal/multihop), so a regression here breaks that contract too.
 func TestRandomDisruptAllocs(t *testing.T) {
@@ -117,6 +118,65 @@ func TestRandom(t *testing.T) {
 	for r := uint64(1); r <= 20; r++ {
 		if !b1.Disrupt(r, nil).Equal(b2.Disrupt(r, nil)) {
 			t.Fatal("random adversary not deterministic by seed")
+		}
+	}
+}
+
+// sampleKDisrupt is Random.Disrupt's historical body, kept as the
+// reference its in-set Floyd draw must reproduce: sample t indices with
+// rng.SampleKInto, then add them to the set.
+func sampleKDisrupt(r *rng.Rand, f, t int, set *freqset.Set, scratch []int) []int {
+	set.Clear()
+	scratch = r.SampleKInto(f, t, scratch)
+	for _, idx := range scratch {
+		set.Add(idx + 1)
+	}
+	return scratch
+}
+
+// TestRandomMatchesSampleK pins Random and Bursty-over-Random to the
+// SampleKInto reference: the same set every round and, after the run, the
+// same position in the generator stream, so every seeded Result that
+// reads either jammer is unchanged.
+func TestRandomMatchesSampleK(t *testing.T) {
+	const rounds = 1200
+	for _, f := range []int{2, 3, 6, 64, 128} {
+		for _, budget := range []int{0, 1, f / 2, f - 1} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				want := freqset.New(f)
+				var scratch []int
+
+				a, ref := NewRandom(f, budget, seed), rng.New(seed)
+				for r := uint64(1); r <= rounds; r++ {
+					scratch = sampleKDisrupt(ref, f, budget, want, scratch)
+					if got := a.Disrupt(r, nil); !got.Equal(want) {
+						t.Fatalf("Random f=%d t=%d seed=%d round %d: %v, reference %v",
+							f, budget, seed, r, got.Slice(), want.Slice())
+					}
+				}
+				if got, w := a.r.Uint64(), ref.Uint64(); got != w {
+					t.Fatalf("Random f=%d t=%d seed=%d: stream diverged after %d rounds", f, budget, seed, rounds)
+				}
+
+				b, ref := NewBursty(f, budget, 3, 2, seed), rng.New(seed)
+				for r := uint64(1); r <= rounds; r++ {
+					got := b.Disrupt(r, nil)
+					if (r-1)%5 >= 3 {
+						if got.Len() != 0 {
+							t.Fatalf("Bursty f=%d t=%d seed=%d round %d: jams %v off-phase", f, budget, seed, r, got.Slice())
+						}
+						continue
+					}
+					scratch = sampleKDisrupt(ref, f, budget, want, scratch)
+					if !got.Equal(want) {
+						t.Fatalf("Bursty f=%d t=%d seed=%d round %d: %v, reference %v",
+							f, budget, seed, r, got.Slice(), want.Slice())
+					}
+				}
+				if got, w := b.inner.r.Uint64(), ref.Uint64(); got != w {
+					t.Fatalf("Bursty f=%d t=%d seed=%d: stream diverged after %d rounds", f, budget, seed, rounds)
+				}
+			}
 		}
 	}
 }

@@ -11,21 +11,23 @@
 // pass over the awake nodes builds per-frequency transmitter buckets and
 // the listener list, classification visits only the frequencies actually
 // touched this round, and Reset re-zeroes only what the round dirtied —
-// per-round cost is O(active · log active), independent of F and N.
+// on the complete graph, per-round cost is O(active · log active),
+// independent of F and N.
 //
 // Topology enters through the Graph interface. A nil Graph is the
 // complete graph — the single-hop model, where a listener's reception
 // depends only on the global per-frequency transmitter count, so the
-// resolver skips transmitter buckets and per-node transmit state
-// entirely. With a Graph, Receive intersects a listener's frequency
-// bucket with its neighborhood, choosing bucket-walk or neighbor-walk by
-// comparing degree against bucket size: low-degree listeners probe their
-// neighbors' transmit state, high-degree listeners binary-search the
-// (smaller) transmitter bucket against their sorted neighbor list.
+// resolver skips transmitter buckets entirely. With a Graph, the round is
+// resolved from the transmitter side: once per round, for every frequency
+// somebody listens on, each transmitter walks its own neighbor list and
+// tallies itself at the neighbors listening there, and Receive reads the
+// listener's tally, so a round costs what its transmitters touch. The push
+// counts the transmitters w with u ∈ N(w), while the model's rule counts
+// w ∈ N(u), so a Graph must be symmetric.
 //
 // Topology may also change while a resolver lives: SetGraph swaps the
-// Graph between rounds — invalidating any per-node transmit state
-// registered under the old one — which is the hook dynamic-topology
+// Graph between rounds — invalidating any per-node state registered
+// under the old one — which is the hook dynamic-topology
 // experiments (nodes moving, edges churning per round) build on.
 //
 // The round core keeps legacy full-scan resolvers for the complete graph

@@ -8,15 +8,17 @@ import (
 
 // Graph is the read-only topology view the resolver resolves receptions
 // against: an undirected communication graph over dense node indices
-// 0..N-1. Implementations must list each node's neighbors in ascending
-// order — the resolver binary-searches neighbor lists on the bucket-walk
-// path. A nil Graph means the complete graph (the single-hop model):
+// 0..N-1. Adjacency must be symmetric — w ∈ Neighbors(u) exactly when
+// u ∈ Neighbors(w) — because the resolver pushes each transmission from
+// the transmitter's neighbor list, while the model's reception rule is
+// stated from the listener's side; the two agree only on symmetric
+// graphs. A nil Graph means the complete graph (the single-hop model):
 // every node neighbors every other node.
 type Graph interface {
 	// N returns the node count.
 	N() int
-	// Neighbors returns node i's neighbor list in ascending order. The
-	// resolver never mutates the returned slice.
+	// Neighbors returns node i's neighbor list. The resolver never
+	// mutates the returned slice.
 	Neighbors(i int) []int
 }
 
@@ -99,10 +101,12 @@ func (a *Activation) Wake(r uint64) []int {
 }
 
 // Resolver indexes one round of radio activity by frequency: per-frequency
-// transmitter buckets and a listener list, built from one pass over the
-// awake nodes, with only the frequencies actually touched this round
-// classified and re-zeroed. Per-round cost is O(active · log active),
-// independent of F and N.
+// transmitter counts (and, on a graph, transmitter buckets) and a listener
+// list, built from one pass over the awake nodes, with only the
+// frequencies actually touched this round classified and re-zeroed.
+// Per-round cost is O(active · log active) on the complete graph,
+// independent of F and N; on a graph it adds the degrees of the
+// transmitters on frequencies somebody listens on.
 //
 // Usage per round: Transmit/Listen for every awake node, then
 // TouchedAscending and Receive to classify, then Reset. The zero frequency
@@ -118,26 +122,35 @@ type Resolver struct {
 	touched   []int
 	listeners []int
 
-	// txFreq[i] is the frequency node i transmits on this round (0 when
-	// listening or asleep). Only maintained in graph mode, where the
-	// neighbor-walk needs O(1) "is w transmitting on f" queries.
-	txFreq []int
+	// slots[i] is node i's reception state: the frequency it listens on
+	// this round (0 when transmitting or asleep) and, once the round is
+	// pushed, how many of its neighbors transmitted there and the last of
+	// them. Only graph mode reads it.
+	slots    []slot
+	listened []bool // per frequency, during push: somebody listens on it
+	pushed   bool   // this round's transmissions have been pushed
+}
+
+// slot is one node's per-round reception state in graph mode.
+type slot struct {
+	freq, hits, from int32
 }
 
 // NewResolver builds a resolver for frequencies 1..f over n nodes. A nil
 // graph selects the complete-graph (single-hop) fast path, which never
-// materializes transmitter buckets or per-node transmit state.
+// materializes transmitter buckets.
 func NewResolver(f int, n int, graph Graph) *Resolver {
 	r := &Resolver{
-		f:       f,
-		n:       n,
-		graph:   graph,
-		txCount: make([]int, f+1),
-		txLast:  make([]int, f+1),
+		f:        f,
+		n:        n,
+		graph:    graph,
+		txCount:  make([]int, f+1),
+		txLast:   make([]int, f+1),
+		slots:    make([]slot, n),
+		listened: make([]bool, f+1),
 	}
 	if graph != nil {
 		r.txNodes = make([][]int, f+1)
-		r.txFreq = make([]int, n)
 	}
 	return r
 }
@@ -153,14 +166,16 @@ func (r *Resolver) Transmit(i, f int) {
 	r.txLast[f] = i
 	if r.graph != nil {
 		r.txNodes[f] = append(r.txNodes[f], i)
-		r.txFreq[i] = f
 	}
 }
 
-// Listen registers node i as listening this round. Like Transmit, calls
-// must come in ascending index order.
-func (r *Resolver) Listen(i int) {
+// Listen registers node i as listening on frequency f this round. Like
+// Transmit, calls must come in ascending index order.
+func (r *Resolver) Listen(i, f int) {
 	r.listeners = append(r.listeners, i)
+	// Unconditional: the complete graph never reads it, and a branch here
+	// costs more than the store on the dense path.
+	r.slots[i].freq = int32(f)
 }
 
 // Listeners returns this round's listeners in registration (ascending
@@ -246,12 +261,11 @@ func (r *Resolver) ClassifyTouched(disrupted *freqset.Set, dst []int) (clear []i
 // when count is 1). The count saturates at 2 — callers only distinguish
 // silence, a clean reception, and a collision.
 //
-// With a nil graph every transmitter is a neighbor and the answer is the
-// global per-frequency count. With a graph, the resolver intersects the
-// frequency's transmitter bucket with u's neighborhood, walking whichever
-// side is smaller: the neighbor-walk probes per-node transmit state for
-// each neighbor of u, the bucket-walk binary-searches u's sorted neighbor
-// list for each transmitter on f.
+// Receive is valid only after every Transmit and Listen of the round, and
+// f must be the frequency u registered with Listen. With a nil graph every
+// transmitter is a neighbor and the answer is the global per-frequency
+// count. With a graph, the round's first Receive pushes every transmission
+// to the transmitter's listening neighbors, and each call reads u's tally.
 func (r *Resolver) Receive(u, f int) (from, count int) {
 	if r.graph == nil {
 		count = r.txCount[f]
@@ -260,32 +274,46 @@ func (r *Resolver) Receive(u, f int) (from, count int) {
 		}
 		return r.txLast[f], count
 	}
-	bucket := r.txNodes[f]
-	if len(bucket) == 0 {
+	if !r.pushed {
+		r.push()
+	}
+	s := r.slots[u]
+	if s.hits == 0 {
 		return -1, 0
 	}
-	nbrs := r.graph.Neighbors(u)
-	from = -1
-	if len(nbrs) <= len(bucket) {
-		for _, w := range nbrs {
-			if r.txFreq[w] == f {
-				from = w
-				if count++; count >= 2 {
-					return from, 2
-				}
+	return int(s.from), min(int(s.hits), 2)
+}
+
+// push resolves the round from the transmitter side: for every frequency
+// somebody listens on, each transmitter on it walks its own neighbor list
+// and tallies itself at every neighbor listening there. On a symmetric
+// graph this counts, for each listener u, exactly the transmitters in u's
+// neighborhood.
+func (r *Resolver) push() {
+	r.pushed = true
+	for _, u := range r.listeners {
+		r.listened[r.slots[u].freq] = true
+	}
+	for _, f := range r.touched {
+		if !r.listened[f] {
+			continue
+		}
+		f32 := int32(f)
+		for _, w := range r.txNodes[f] {
+			w32 := int32(w)
+			for _, v := range r.graph.Neighbors(w) {
+				// Branch-free: whether a neighbor listens on f is a coin
+				// flip the predictor cannot learn.
+				s := &r.slots[v]
+				hit := int32(b2i(s.freq == f32))
+				s.hits += hit
+				s.from ^= (s.from ^ w32) & -hit
 			}
 		}
-		return from, count
 	}
-	for _, w := range bucket {
-		if containsSorted(nbrs, w) {
-			from = w
-			if count++; count >= 2 {
-				return from, 2
-			}
-		}
+	for _, u := range r.listeners {
+		r.listened[r.slots[u].freq] = false
 	}
-	return from, count
 }
 
 // SetGraph swaps the topology the resolver resolves against — the
@@ -293,10 +321,10 @@ func (r *Resolver) Receive(u, f int) (from, count int) {
 // the new Graph here instead of rebuilding the resolver (which would
 // reallocate every per-frequency bucket). Any transmit or listen state
 // registered under the old graph is invalidated, exactly as if Reset had
-// run, so a mid-round swap can never leak one topology's per-node
-// transmit state into another's receptions. A nil graph switches to the
-// complete-graph fast path; per-node state grows as needed if the new
-// graph covers more nodes than the resolver was built for.
+// run, so a mid-round swap can never leak one topology's registrations
+// into another's receptions. A nil graph switches to the complete-graph
+// fast path; per-node state grows as needed if the new graph covers more
+// nodes than the resolver was built for.
 //
 // The node universe only ever grows: swapping in a graph with fewer nodes
 // than the resolver currently covers panics. Nodes at or above the new
@@ -309,8 +337,9 @@ func (r *Resolver) SetGraph(g Graph) {
 		panic(fmt.Sprintf("medium: SetGraph shrinks the node universe from %d to %d; build a new resolver instead",
 			r.n, g.N()))
 	}
-	// Reset while the old graph is still installed: in graph mode it is
-	// what clears the per-node txFreq entries this round dirtied.
+	// Reset while the old graph is still installed: it decides which
+	// per-node state this round dirtied.
+	wasComplete := r.graph == nil
 	r.Reset()
 	r.graph = g
 	if g == nil {
@@ -322,39 +351,33 @@ func (r *Resolver) SetGraph(g Graph) {
 	if r.txNodes == nil {
 		r.txNodes = make([][]int, r.f+1)
 	}
-	if len(r.txFreq) < r.n {
-		// Reset above left every entry zero, so a fresh zeroed slice is
-		// equivalent to growing the old one.
-		r.txFreq = make([]int, r.n)
+	// Graph rounds need every slot clear at the start; complete-graph
+	// rounds leave their listen frequencies behind.
+	switch {
+	case len(r.slots) < r.n:
+		r.slots = make([]slot, r.n)
+	case wasComplete:
+		clear(r.slots)
 	}
-}
-
-// containsSorted reports whether x occurs in the ascending slice s.
-func containsSorted(s []int, x int) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
 }
 
 // Reset re-zeroes only what this round dirtied, preparing the resolver for
-// the next round in O(touched + transmitters + listeners).
+// the next round in O(touched + listeners). The complete graph leaves the
+// listeners' slots as they are: nothing reads them until SetGraph installs
+// a graph, which clears them all.
 func (r *Resolver) Reset() {
 	for _, f := range r.touched {
 		r.txCount[f] = 0
 		if r.graph != nil {
-			for _, i := range r.txNodes[f] {
-				r.txFreq[i] = 0
-			}
 			r.txNodes[f] = r.txNodes[f][:0]
+		}
+	}
+	if r.graph != nil {
+		for _, u := range r.listeners {
+			r.slots[u] = slot{}
 		}
 	}
 	r.touched = r.touched[:0]
 	r.listeners = r.listeners[:0]
+	r.pushed = false
 }

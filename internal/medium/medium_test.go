@@ -144,12 +144,13 @@ func TestActivationEdgeCases(t *testing.T) {
 // TestResolverCompleteGraph checks the single-hop (nil graph) path:
 // Receive answers from the global per-frequency counters.
 func TestResolverCompleteGraph(t *testing.T) {
-	r := NewResolver(4, 5, nil)
+	r := NewResolver(4, 6, nil)
 	r.Transmit(0, 2)
 	r.Transmit(1, 3)
 	r.Transmit(2, 3)
-	r.Listen(3)
-	r.Listen(4)
+	r.Listen(3, 2)
+	r.Listen(4, 3)
+	r.Listen(5, 1)
 	touched := r.TouchedAscending()
 	if len(touched) != 2 || touched[0] != 2 || touched[1] != 3 {
 		t.Fatalf("touched = %v", touched)
@@ -160,13 +161,13 @@ func TestResolverCompleteGraph(t *testing.T) {
 	if from, count := r.Receive(3, 2); count != 1 || from != 0 {
 		t.Fatalf("Receive(3,2) = %d,%d", from, count)
 	}
-	if _, count := r.Receive(3, 3); count != 2 {
-		t.Fatalf("Receive(3,3) count = %d, want saturated 2", count)
+	if _, count := r.Receive(4, 3); count != 2 {
+		t.Fatalf("Receive(4,3) count = %d, want saturated 2", count)
 	}
-	if _, count := r.Receive(4, 1); count != 0 {
-		t.Fatalf("Receive(4,1) count = %d, want 0", count)
+	if _, count := r.Receive(5, 1); count != 0 {
+		t.Fatalf("Receive(5,1) count = %d, want 0", count)
 	}
-	if l := r.Listeners(); len(l) != 2 || l[0] != 3 || l[1] != 4 {
+	if l := r.Listeners(); len(l) != 3 || l[0] != 3 || l[1] != 4 || l[2] != 5 {
 		t.Fatalf("listeners = %v", l)
 	}
 	r.Reset()
@@ -175,27 +176,27 @@ func TestResolverCompleteGraph(t *testing.T) {
 	}
 }
 
-// TestResolverGraphWalks exercises both intersection strategies on a star
-// graph: the hub has high degree (bucket-walk), the leaves degree one
-// (neighbor-walk).
-func TestResolverGraphWalks(t *testing.T) {
+// TestResolverGraphPush exercises the transmitter-side push on a star
+// graph: leaf transmissions reach the high-degree hub, a hub
+// transmission would reach every leaf, and a detached edge reuses the
+// frequency without interference.
+func TestResolverGraphPush(t *testing.T) {
 	// Star: 0 is the hub of 1..6; plus the detached edge 7—8.
 	g := &testGraph{adj: [][]int{
 		{1, 2, 3, 4, 5, 6}, {0}, {0}, {0}, {0}, {0}, {0}, {8}, {7},
 	}}
 	r := NewResolver(3, g.N(), g)
+	r.Listen(0, 1)
+	r.Listen(1, 1)
 	r.Transmit(2, 1) // leaf 2 on freq 1
+	r.Listen(7, 1)
 	r.Transmit(8, 1) // detached node 8 on freq 1
-	r.Listen(0)
-	r.Listen(1)
-	r.Listen(7)
 
-	// Hub: bucket {2, 8} is smaller than degree 6 — bucket-walk finds
-	// only neighbor 2.
+	// Hub: of the transmitters {2, 8}, only leaf 2 pushes to it.
 	if from, count := r.Receive(0, 1); count != 1 || from != 2 {
 		t.Fatalf("hub Receive = %d,%d, want 2,1", from, count)
 	}
-	// Leaf 1: degree 1 — neighbor-walk; its only neighbor 0 listens.
+	// Leaf 1: its only neighbor 0 listens.
 	if _, count := r.Receive(1, 1); count != 0 {
 		t.Fatalf("leaf Receive count = %d, want 0", count)
 	}
@@ -204,9 +205,15 @@ func TestResolverGraphWalks(t *testing.T) {
 		t.Fatalf("detached Receive = %d,%d, want 8,1", from, count)
 	}
 
-	// A second hub transmitter makes the hub collide; leaves still hear
-	// only their own neighbor.
+	// A fresh round with a second leaf transmitter makes the hub collide;
+	// node 7 still hears only its own neighbor.
+	r.Reset()
+	r.Listen(0, 1)
+	r.Listen(1, 1)
+	r.Transmit(2, 1)
 	r.Transmit(5, 1)
+	r.Listen(7, 1)
+	r.Transmit(8, 1)
 	if _, count := r.Receive(0, 1); count != 2 {
 		t.Fatalf("hub collision count = %d, want 2", count)
 	}
@@ -214,18 +221,17 @@ func TestResolverGraphWalks(t *testing.T) {
 		t.Fatalf("spatial reuse broken: %d,%d", from, count)
 	}
 
-	// Reset clears per-node transmit state too.
+	// Reset clears the listeners' tallies too.
 	r.Reset()
-	r.Listen(0)
+	r.Listen(0, 1)
 	if _, count := r.Receive(0, 1); count != 0 {
 		t.Fatalf("after Reset, hub hears count = %d, want 0", count)
 	}
 }
 
 // TestResolverSetGraph covers the dynamic-topology hook: swapping the
-// Graph between (or even mid-) rounds invalidates per-node transmit
-// state and behaves exactly like a resolver freshly built on the new
-// topology.
+// Graph between (or even mid-) rounds invalidates per-node state and
+// behaves exactly like a resolver freshly built on the new topology.
 func TestResolverSetGraph(t *testing.T) {
 	line := &testGraph{adj: [][]int{{1}, {0, 2}, {1}}}           // 0—1—2
 	triangle := &testGraph{adj: [][]int{{1, 2}, {0, 2}, {0, 1}}} // complete on 3
@@ -234,7 +240,7 @@ func TestResolverSetGraph(t *testing.T) {
 	// transmit on frequency 1, node 1 listens.
 	round := func(r *Resolver) {
 		r.Transmit(0, 1)
-		r.Listen(1)
+		r.Listen(1, 1)
 		r.Transmit(2, 1)
 	}
 
@@ -271,7 +277,7 @@ func TestResolverSetGraph(t *testing.T) {
 		if r.Count(1) != 0 {
 			t.Fatalf("Count(1) = %d after swap, want 0", r.Count(1))
 		}
-		r.Listen(1)
+		r.Listen(1, 1)
 		if _, count := r.Receive(1, 1); count != 0 {
 			t.Fatalf("stale transmission heard after swap: count = %d", count)
 		}
@@ -303,8 +309,8 @@ func TestResolverSetGraph(t *testing.T) {
 		big := &testGraph{adj: [][]int{{3}, {2}, {1}, {0}}} // 0—3, 1—2
 		r.SetGraph(big)
 		r.Transmit(3, 1)
-		r.Listen(0)
-		r.Listen(1)
+		r.Listen(0, 1)
+		r.Listen(1, 1)
 		if from, count := r.Receive(0, 1); count != 1 || from != 3 {
 			t.Fatalf("grown Receive(0) = %d,%d, want 3,1", from, count)
 		}
@@ -359,22 +365,5 @@ func TestSetGraphShrink(t *testing.T) {
 			}()
 			r.SetGraph(last)
 		})
-	}
-}
-
-func TestContainsSorted(t *testing.T) {
-	s := []int{1, 4, 7, 9, 30}
-	for _, x := range s {
-		if !containsSorted(s, x) {
-			t.Fatalf("missing %d", x)
-		}
-	}
-	for _, x := range []int{0, 2, 8, 31} {
-		if containsSorted(s, x) {
-			t.Fatalf("phantom %d", x)
-		}
-	}
-	if containsSorted(nil, 1) {
-		t.Fatal("phantom in empty")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // diff_test.go differentially tests the two multi-hop medium resolvers:
 // the legacy per-receiver neighbor scan (sim.MediumScan) is the oracle,
-// the frequency-indexed bucket intersection (sim.MediumIndexed, the
+// the frequency-indexed transmitter-side push (sim.MediumIndexed, the
 // default) the implementation under test. Every Result field and every
 // delivered message must be bit-identical over randomized topologies,
 // schedules, and adversaries.

@@ -14,11 +14,10 @@
 // validate and translate Config into a sim.Config, apply churn deltas to
 // a private clone of the topology from the core's per-round graph hook,
 // and project the core's result onto Result. On the default path
-// (Config.Medium zero value) each round costs O(active): one pass over
-// the awake nodes builds per-frequency transmitter buckets, and a
-// listener's reception is resolved by intersecting its frequency's bucket
-// with its neighborhood — bucket-walk or neighbor-walk, whichever side is
-// smaller. The complete graph (Clique) is exactly the single-hop model,
+// (Config.Medium zero value) a round costs O(active) plus what its
+// transmitters touch: one pass over the awake nodes builds per-frequency
+// transmitter buckets, and each transmitter on a frequency somebody
+// listens on pushes its transmission to its listening neighbors. The complete graph (Clique) is exactly the single-hop model,
 // which TestCliqueMatchesSingleHop and TestMultihopCliqueMatchesSimIndexed
 // pin against sim.Run and sim.RunConcurrent. The legacy per-receiver full
 // neighbor scan survives behind sim.MediumScan as the differential-testing

@@ -81,12 +81,12 @@ type Config struct {
 	Observers []sim.Observer
 	// Medium selects the medium-resolution path, mirroring sim.Config.
 	// The zero value (sim.MediumIndexed) is the frequency-indexed fast
-	// path: per-round work is O(active), with each listener's reception
-	// resolved by intersecting its frequency's transmitter bucket with
-	// its neighborhood. sim.MediumScan forces the legacy per-receiver
-	// full neighbor scan, retained as the differential-testing oracle
-	// (TestMultihopMediumDifferential asserts the two paths produce
-	// bit-identical Results).
+	// path: per-round work is O(active) plus the degrees of the
+	// transmitters on frequencies somebody listens on, each pushing its
+	// transmission to its listening neighbors. sim.MediumScan forces the
+	// legacy per-receiver full neighbor scan, retained as the
+	// differential-testing oracle (TestMultihopMediumDifferential asserts
+	// the two paths produce bit-identical Results).
 	Medium sim.MediumPath
 	// NoBatch disables cohort batch-stepping (sim.BatchAgent), forcing
 	// every agent through the per-node Step fallback; results are

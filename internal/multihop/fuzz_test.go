@@ -7,9 +7,10 @@ import (
 
 // FuzzGraphDelta drives the incremental topology mutation API with
 // arbitrary insert/delete streams and cross-checks every step against a
-// naive set-based oracle: return values must match oracle membership, and
-// the final adjacency must be sorted, symmetric, and exactly the oracle's
-// edge set through HasEdge, EdgeCount, AppendEdges, and Clone.
+// naive set-based oracle: return values must match oracle membership, the
+// adjacency must stay symmetric after every step (the medium resolver's
+// requirement), and the final adjacency must be sorted and exactly the
+// oracle's edge set through HasEdge, EdgeCount, AppendEdges, and Clone.
 func FuzzGraphDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2})
@@ -49,6 +50,9 @@ func FuzzGraphDelta(f *testing.F) {
 					t.Fatalf("InsertEdge(%d, %d) = %v, oracle lacks edge: %v", a, b, got, want)
 				}
 				oracle[key] = true
+			}
+			if err := asymmetry(topo); err != nil {
+				t.Fatalf("after edge (%d, %d) step, delete=%v: %v", a, b, del, err)
 			}
 		}
 		for _, g := range []*Topology{topo, topo.Clone()} {

@@ -105,9 +105,9 @@ func TestRandomGeometricConnectedPanicsBelowThreshold(t *testing.T) {
 	RandomGeometricConnected(64, 0.001, 1)
 }
 
-// TestNeighborsSortedDeduped pins the topology invariant the indexed
-// medium resolver binary-searches on: every adjacency list is strictly
-// ascending (sorted, no duplicates, no self-loops).
+// TestNeighborsSortedDeduped pins the topology invariant deterministic
+// round traces rely on: every adjacency list is strictly ascending
+// (sorted, no duplicates, no self-loops).
 func TestNeighborsSortedDeduped(t *testing.T) {
 	topos := map[string]*Topology{
 		"line": Line(17),

@@ -9,9 +9,10 @@ import (
 )
 
 // Topology is an undirected communication graph over nodes 0..N-1. Every
-// constructor returns adjacency lists in ascending neighbor order — the
-// deterministic order round traces depend on and the sorted invariant
-// the indexed medium resolver binary-searches on its bucket-walk path.
+// edge is listed at both of its ends — the symmetry the medium resolver's
+// transmitter-side push requires — and every constructor returns
+// adjacency lists in ascending neighbor order, the deterministic order
+// round traces depend on.
 type Topology struct {
 	n   int
 	adj [][]int
@@ -55,8 +56,8 @@ func (t *Topology) addEdge(a, b int) {
 }
 
 // finish seals a constructed graph: it drops the construction-time edge
-// set and sorts every adjacency list ascending, establishing the neighbor
-// order the medium resolver's binary search requires.
+// set and sorts every adjacency list ascending, establishing the
+// deterministic neighbor order.
 func (t *Topology) finish() *Topology {
 	t.seen = nil
 	for i := range t.adj {

@@ -33,7 +33,7 @@
 // transmissions by virtual jammer nodes, and per-party masks become graph
 // adjacency — a mask node neighbors only the party it blocks, a global
 // jammer node neighbors every party. A listener on a blocked channel then
-// observes a collision through the ordinary Resolver.Receive intersection,
+// observes a collision through the ordinary Resolver.Receive resolution,
 // and the rendezvous medium is literally "one more Graph" over the
 // resolver, not a new engine.
 //

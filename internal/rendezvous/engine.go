@@ -93,19 +93,87 @@ type Result struct {
 
 // gameGraph is the medium.Graph the engine resolves receptions against:
 // parties are mutually adjacent, each mask node neighbors only its party,
-// and each global jam node neighbors every party.
+// each global jam node neighbors every party, and each dynamic mask slot
+// neighbors its party while blocked. Every edge is listed at both ends,
+// the symmetry the resolver's transmitter-side push relies on.
+//
+// The k parties occupy node indices 0..k−1; blocked channels materialize
+// as transmissions by virtual nodes above k (per-party mask nodes first,
+// then one global jam node per channel, then the dynamic mask slots), so
+// the resolver's ordinary neighborhood rule — not engine special cases —
+// decides what is jammed for whom.
 type gameGraph struct {
 	adj [][]int
+
+	masks   []maskNode // static mask nodes, from index k on
+	jamBase int        // first global jam node: one per channel
+	dynBase int        // first dynamic mask slot: one per (party, channel)
 }
+
+// maskNode is a static mask: a virtual transmitter on freq heard only by
+// its owner.
+type maskNode struct{ owner, freq int }
 
 func (g *gameGraph) N() int                { return len(g.adj) }
 func (g *gameGraph) Neighbors(i int) []int { return g.adj[i] }
 
-// Run plays the game. The k parties occupy node indices 0..k−1 of the
-// medium; blocked channels materialize as transmissions by virtual nodes
-// above k (per-party mask nodes first, then one global jam node per
-// channel), so the resolver's ordinary neighborhood intersection — not
-// engine special cases — decides what is jammed for whom.
+// newGameGraph lays out the nodes of a validated configuration's game,
+// with every dynamic mask slot unblocked.
+func newGameGraph(cfg *Config) *gameGraph {
+	k := len(cfg.Parties)
+	g := &gameGraph{}
+	for p, pt := range cfg.Parties {
+		for _, f := range pt.Mask {
+			g.masks = append(g.masks, maskNode{p, f})
+		}
+	}
+	maskBase := k
+	g.jamBase = maskBase + len(g.masks)
+	jamNodes := 0
+	if cfg.Jammer != nil {
+		jamNodes = cfg.F // one virtual transmitter per blockable channel
+	}
+	// Dynamic masks get one dedicated node per (party, channel) slot so a
+	// block/unblock is a pure adjacency toggle, never a node re-layout.
+	g.dynBase = g.jamBase + jamNodes
+	dynNodes := 0
+	if cfg.Masks != nil {
+		dynNodes = k * cfg.F
+	}
+	adj := make([][]int, g.dynBase+dynNodes)
+	for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			if q != p {
+				adj[p] = append(adj[p], q)
+			}
+		}
+		for m, mn := range g.masks {
+			if mn.owner == p {
+				adj[p] = append(adj[p], maskBase+m)
+			}
+		}
+		for j := 0; j < jamNodes; j++ {
+			adj[p] = append(adj[p], g.jamBase+j)
+		}
+	}
+	for m, mn := range g.masks {
+		adj[maskBase+m] = []int{mn.owner}
+	}
+	if jamNodes > 0 {
+		// Every jam node neighbors exactly the parties; share one slice.
+		parties := make([]int, k)
+		for p := range parties {
+			parties[p] = p
+		}
+		for j := 0; j < jamNodes; j++ {
+			adj[g.jamBase+j] = parties
+		}
+	}
+	g.adj = adj
+	return g
+}
+
+// Run plays the game.
 func Run(cfg *Config) (*Result, error) {
 	k := len(cfg.Parties)
 	if cfg.F < 1 {
@@ -128,60 +196,12 @@ func Run(cfg *Config) (*Result, error) {
 		}
 	}
 
-	// Node layout: parties, then mask nodes, then jam nodes.
-	type maskNode struct{ owner, freq int }
-	var masks []maskNode
-	for p, pt := range cfg.Parties {
-		for _, f := range pt.Mask {
-			masks = append(masks, maskNode{p, f})
-		}
-	}
+	graph := newGameGraph(cfg)
+	adj, masks, jamBase, dynBase := graph.adj, graph.masks, graph.jamBase, graph.dynBase
 	maskBase := k
-	jamBase := maskBase + len(masks)
-	jamNodes := 0
-	if cfg.Jammer != nil {
-		jamNodes = cfg.F // one virtual transmitter per blockable channel
-	}
-	// Dynamic masks get one dedicated node per (party, channel) slot so a
-	// block/unblock is a pure adjacency toggle, never a node re-layout.
-	dynBase := jamBase + jamNodes
-	dynNodes := 0
-	if cfg.Masks != nil {
-		dynNodes = k * cfg.F
-	}
-	adj := make([][]int, dynBase+dynNodes)
-	for p := 0; p < k; p++ {
-		for q := 0; q < k; q++ {
-			if q != p {
-				adj[p] = append(adj[p], q)
-			}
-		}
-		for m, mn := range masks {
-			if mn.owner == p {
-				adj[p] = append(adj[p], maskBase+m)
-			}
-		}
-		for j := 0; j < jamNodes; j++ {
-			adj[p] = append(adj[p], jamBase+j)
-		}
-	}
-	for m, mn := range masks {
-		adj[maskBase+m] = []int{mn.owner}
-	}
-	if jamNodes > 0 {
-		// Every jam node neighbors exactly the parties; share one slice.
-		parties := make([]int, k)
-		for p := range parties {
-			parties[p] = p
-		}
-		for j := 0; j < jamNodes; j++ {
-			adj[jamBase+j] = parties
-		}
-	}
-	graph := &gameGraph{adj: adj}
 	res := medium.NewResolver(cfg.F, len(adj), graph)
 	var dynBlocked []bool
-	if dynNodes > 0 {
+	if dynNodes := len(adj) - dynBase; dynNodes > 0 {
 		dynBlocked = make([]bool, dynNodes)
 	}
 
@@ -253,7 +273,7 @@ func Run(cfg *Config) (*Result, error) {
 			if tx {
 				res.Transmit(p, f)
 			} else {
-				res.Listen(p)
+				res.Listen(p, f)
 			}
 			out.NodeRounds++
 		}

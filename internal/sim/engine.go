@@ -303,9 +303,9 @@ func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
 // graph only the frequencies actually touched this round are classified
 // and re-zeroed, at O(active · log active) per round (the log is the
 // touched-frequency sort that preserves the scan path's ascending Clear
-// order) — independent of F and N. On a graph each listener's reception
-// is resolved by intersecting its frequency's transmitter bucket with its
-// neighborhood.
+// order) — independent of F and N. On a graph the resolver pushes each
+// transmission to the transmitter's listening neighbors, and each
+// listener reads its own tally.
 func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 	rec := &e.rec
 	med := e.med
@@ -323,7 +323,7 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 			med.Transmit(i, f)
 			transmissions++
 		} else {
-			med.Listen(i)
+			med.Listen(i, f)
 		}
 	}
 	e.res.Stats.Transmissions += transmissions

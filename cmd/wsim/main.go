@@ -44,7 +44,6 @@ func run(args []string, stdout io.Writer) int {
 		window     = fs.Uint64("window", 1000, "random activation window (rounds)")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		maxRounds  = fs.Uint64("rounds", 1<<22, "round budget")
-		concurrent = fs.Bool("concurrent", false, "run node agents on goroutines")
 		ft         = fs.Bool("ft", false, "fault-tolerant trapdoor variant")
 		traceLast  = fs.Int("trace", 0, "print an ASCII timeline of the last N rounds")
 	)
@@ -99,12 +98,7 @@ func run(args []string, stdout io.Writer) int {
 		cfg.Observers = append(cfg.Observers, recorder)
 	}
 
-	var res *sim.Result
-	if *concurrent {
-		res, err = sim.RunConcurrent(cfg)
-	} else {
-		res, err = sim.Run(cfg)
-	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
 		return 1

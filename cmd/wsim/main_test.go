@@ -58,7 +58,6 @@ func TestActivationsAndEngines(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-activation", "staggered", "-gap", "10"},
 		{"-activation", "random", "-window", "50"},
-		{"-concurrent"},
 		{"-ft"},
 		{"-adversary", "random"},
 		{"-adversary", "sweep"},

@@ -117,7 +117,7 @@ type Resolver struct {
 	graph Graph
 
 	txCount   []int // per frequency: transmitter count
-	txLast    []int // per frequency: the most recently registered transmitter
+	txLast    []int // per frequency: the most recently registered transmitter, -1 if none
 	txNodes   [][]int
 	touched   []int
 	listeners []int
@@ -148,6 +148,9 @@ func NewResolver(f int, n int, graph Graph) *Resolver {
 		txLast:   make([]int, f+1),
 		slots:    make([]slot, n),
 		listened: make([]bool, f+1),
+	}
+	for i := range r.txLast {
+		r.txLast[i] = -1
 	}
 	if graph != nil {
 		r.txNodes = make([][]int, f+1)
@@ -219,8 +222,8 @@ func (r *Resolver) TouchedAscending() []int {
 // Count returns the number of transmitters on frequency f this round.
 func (r *Resolver) Count(f int) int { return r.txCount[f] }
 
-// From returns the transmitter on frequency f; meaningful when Count(f)
-// is exactly 1.
+// From returns the transmitter on frequency f, or -1 if nobody transmits
+// on it; meaningful when Count(f) is exactly 1.
 func (r *Resolver) From(f int) int { return r.txLast[f] }
 
 // b2i converts a predicate to 0/1; the compiler lowers it to SETcc, so the
@@ -258,8 +261,8 @@ func (r *Resolver) ClassifyTouched(disrupted *freqset.Set, dst []int) (clear []i
 
 // Receive resolves what listener u hears on frequency f: the number of
 // transmitters in u's neighborhood on f, and one of them (the unique one
-// when count is 1). The count saturates at 2 — callers only distinguish
-// silence, a clean reception, and a collision.
+// when count is 1, -1 when count is 0). The count saturates at 2 — callers
+// only distinguish silence, a clean reception, and a collision.
 //
 // Receive is valid only after every Transmit and Listen of the round, and
 // f must be the frequency u registered with Listen. With a nil graph every
@@ -368,6 +371,7 @@ func (r *Resolver) SetGraph(g Graph) {
 func (r *Resolver) Reset() {
 	for _, f := range r.touched {
 		r.txCount[f] = 0
+		r.txLast[f] = -1
 		if r.graph != nil {
 			r.txNodes[f] = r.txNodes[f][:0]
 		}

@@ -176,6 +176,31 @@ func TestResolverCompleteGraph(t *testing.T) {
 	}
 }
 
+// TestResolverSilentAfterBusy pins that a frequency busy in one round and
+// silent in the next reports no sender: after Reset, a listener there gets
+// (-1, 0) from Receive, and From answers -1, on the complete graph and on a
+// graph alike.
+func TestResolverSilentAfterBusy(t *testing.T) {
+	for _, g := range []Graph{nil, &testGraph{adj: [][]int{{1, 2}, {0, 2}, {0, 1}}}} {
+		r := NewResolver(2, 3, g)
+		r.Transmit(0, 1)
+		r.Listen(1, 1)
+		r.Listen(2, 2)
+		if from, count := r.Receive(1, 1); from != 0 || count != 1 {
+			t.Fatalf("graph=%v: busy round Receive = %d,%d, want 0,1", g != nil, from, count)
+		}
+		r.Reset()
+		r.Transmit(0, 2)
+		r.Listen(1, 1)
+		if from, count := r.Receive(1, 1); from != -1 || count != 0 {
+			t.Fatalf("graph=%v: silent round Receive = %d,%d, want -1,0", g != nil, from, count)
+		}
+		if from := r.From(1); from != -1 {
+			t.Fatalf("graph=%v: silent round From = %d, want -1", g != nil, from)
+		}
+	}
+}
+
 // TestResolverGraphPush exercises the transmitter-side push on a star
 // graph: leaf transmissions reach the high-degree hub, a hub
 // transmission would reach every leaf, and a detached edge reuses the

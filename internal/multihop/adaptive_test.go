@@ -76,8 +76,9 @@ func busiest(cnt []int, t int) []int {
 // TestAdaptiveAdversaryJamsLastGraphRound checks what the adaptive jammers
 // read on a churned graph: from round 2 on, Reactive jams the t
 // frequencies with the most transmitters of the previous round and
-// Stalker those with the most listeners. Run, RunConcurrent and the scan
-// medium must agree, as for every other adversary.
+// Stalker those with the most listeners. The indexed and scan media must
+// agree, as for every other adversary, and observers must not change the
+// run.
 func TestAdaptiveAdversaryJamsLastGraphRound(t *testing.T) {
 	const f, jam, rounds = 8, 3, 120
 	for _, tc := range []struct {
@@ -95,7 +96,7 @@ func TestAdaptiveAdversaryJamsLastGraphRound(t *testing.T) {
 
 			log := &jamLog{f: f}
 			cfg.Observers = []sim.Observer{log}
-			ser, serHeard := concurrentDiffRun(t, cfg, tc.mk, mkChurn, false)
+			idx, idxHeard := diffRun(t, cfg, tc.mk, mkChurn, sim.MediumIndexed)
 			if len(log.jammed) != rounds {
 				t.Fatalf("observed %d rounds, want %d", len(log.jammed), rounds)
 			}
@@ -110,17 +111,12 @@ func TestAdaptiveAdversaryJamsLastGraphRound(t *testing.T) {
 			}
 
 			cfg.Observers = nil
-			con, conHeard := concurrentDiffRun(t, cfg, tc.mk, mkChurn, true)
-			if d := diffResults(ser, con, serHeard, conHeard); d != "" {
-				t.Fatalf("RunConcurrent diverges from Run: %s", d)
-			}
-			plain, plainHeard := concurrentDiffRun(t, cfg, tc.mk, mkChurn, false)
-			if d := diffResults(ser, plain, serHeard, plainHeard); d != "" {
+			plain, plainHeard := diffRun(t, cfg, tc.mk, mkChurn, sim.MediumIndexed)
+			if d := diffResults(idx, plain, idxHeard, plainHeard); d != "" {
 				t.Fatalf("observers changed the run: %s", d)
 			}
-			cfg.Medium = sim.MediumScan
-			scan, scanHeard := concurrentDiffRun(t, cfg, tc.mk, mkChurn, false)
-			if d := diffResults(ser, scan, serHeard, scanHeard); d != "" {
+			scan, scanHeard := diffRun(t, cfg, tc.mk, mkChurn, sim.MediumScan)
+			if d := diffResults(idx, scan, idxHeard, scanHeard); d != "" {
 				t.Fatalf("scan medium diverges from indexed: %s", d)
 			}
 		})

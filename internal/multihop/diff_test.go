@@ -99,14 +99,76 @@ func diffAdversary(r *rng.Rand, f, tBudget int) func() sim.Adversary {
 	}
 }
 
+// testChurn is a seeded random churn model: each round it toggles up to
+// three node pairs, tracking the live edge set so every emitted delta
+// honors the engine's strict present/absent contract. Deterministic per
+// seed, so a fresh instance replays identically for each run. It is
+// defined here because internal/churn imports multihop, so its models
+// cannot appear in this package's tests.
+type testChurn struct {
+	r     *rng.Rand
+	n     int
+	edges map[uint64]struct{}
+	add   []Edge
+	rem   []Edge
+}
+
+func newTestChurn(topo *Topology, seed uint64) *testChurn {
+	c := &testChurn{r: rng.New(seed), n: topo.N(), edges: map[uint64]struct{}{}}
+	for _, e := range topo.AppendEdges(nil) {
+		c.edges[edgeKey(e.A, e.B)] = struct{}{}
+	}
+	return c
+}
+
+func (c *testChurn) Deltas(r uint64) (add, remove []Edge) {
+	c.add, c.rem = c.add[:0], c.rem[:0]
+	k := c.r.IntRange(0, 3)
+draw:
+	for i := 0; i < k; i++ {
+		a, b := c.r.Intn(c.n), c.r.Intn(c.n)
+		if a == b {
+			continue
+		}
+		key := edgeKey(a, b)
+		// Toggling the same pair twice in one round would emit an add and
+		// a remove for one edge; the engine applies removes first, so the
+		// pair must appear at most once per round.
+		for _, e := range c.add {
+			if edgeKey(e.A, e.B) == key {
+				continue draw
+			}
+		}
+		for _, e := range c.rem {
+			if edgeKey(e.A, e.B) == key {
+				continue draw
+			}
+		}
+		if _, ok := c.edges[key]; ok {
+			delete(c.edges, key)
+			c.rem = append(c.rem, Edge{A: a, B: b})
+		} else {
+			c.edges[key] = struct{}{}
+			c.add = append(c.add, Edge{A: a, B: b})
+		}
+	}
+	return c.add, c.rem
+}
+
 // diffRun executes one configuration under the given medium path and
-// returns the result plus every agent's reception log.
-func diffRun(t *testing.T, cfg Config, mkAdv func() sim.Adversary, medium sim.MediumPath) (*Result, [][]uint64) {
+// returns the result plus every agent's reception log. Stateful
+// collaborators (adversary, churn model) are constructed fresh per run via
+// the factories; either may be nil.
+func diffRun(t *testing.T, cfg Config, mkAdv func() sim.Adversary, mkChurn func() ChurnModel,
+	medium sim.MediumPath) (*Result, [][]uint64) {
 	t.Helper()
 	agents := make([]*diffAgent, cfg.Topology.N())
 	cfg.Medium = medium
 	if mkAdv != nil {
 		cfg.Adversary = mkAdv()
+	}
+	if mkChurn != nil {
+		cfg.Churn = mkChurn()
 	}
 	cfg.NewAgent = func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 		a := newDiffAgent(r, cfg.F)
@@ -186,8 +248,8 @@ func TestMultihopMediumDifferential(t *testing.T) {
 			MaxRounds: uint64(r.IntRange(50, 250)),
 			RunToMax:  r.Bool(),
 		}
-		scanRes, scanHeard := diffRun(t, cfg, mkAdv, sim.MediumScan)
-		idxRes, idxHeard := diffRun(t, cfg, mkAdv, sim.MediumIndexed)
+		scanRes, scanHeard := diffRun(t, cfg, mkAdv, nil, sim.MediumScan)
+		idxRes, idxHeard := diffRun(t, cfg, mkAdv, nil, sim.MediumIndexed)
 		if d := diffResults(scanRes, idxRes, scanHeard, idxHeard); d != "" {
 			t.Fatalf("case %d (%v F=%d t=%d sched=%T): divergence: %s",
 				c, topo, f, tBudget, cfg.Schedule, d)
@@ -201,19 +263,11 @@ func TestMultihopMediumDifferential(t *testing.T) {
 // TestMultihopCliqueMatchesSimIndexed pins the clique special case of the
 // indexed multi-hop resolver against the single-hop engine's own indexed
 // path: identical deliveries, node-rounds, sync rounds, and every logged
-// reception on the complete graph. Both drivers run serially and through
-// RunConcurrent (one worker per node, and three workers), so the round
-// core's graph and complete-graph resolve paths are pinned against each
-// other in its serial and round-barrier forms alike.
+// reception on the complete graph, so the round core's graph and
+// complete-graph resolve paths are pinned against each other.
 func TestMultihopCliqueMatchesSimIndexed(t *testing.T) {
 	const n, f, tBudget = 6, 5, 2
-	type leg struct {
-		name       string
-		concurrent bool
-		workers    int
-	}
-	legs := []leg{{"serial", false, 0}, {"concurrent-w0", true, 0}, {"concurrent-w3", true, 3}}
-	multi := func(l leg) (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
+	multi := func() (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
 		agents := make([]*diffAgent, n)
 		cfg := &Config{
 			F: f, T: tBudget, Seed: 77,
@@ -226,19 +280,14 @@ func TestMultihopCliqueMatchesSimIndexed(t *testing.T) {
 			Adversary: adversary.NewPrefix(f, tBudget),
 			MaxRounds: 300,
 			RunToMax:  true,
-			Workers:   l.workers,
 		}
-		run := Run
-		if l.concurrent {
-			run = RunConcurrent
-		}
-		res, err := run(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Deliveries, res.NodeRounds, res.SyncRound, agentLogs(agents)
 	}
-	single := func(l leg) (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
+	single := func() (deliveries, nodeRounds uint64, syncRound []uint64, heard [][]uint64) {
 		agents := make([]*diffAgent, n)
 		cfg := &sim.Config{
 			F: f, T: tBudget, Seed: 77,
@@ -251,49 +300,36 @@ func TestMultihopCliqueMatchesSimIndexed(t *testing.T) {
 			Adversary:      adversary.NewPrefix(f, tBudget),
 			MaxRounds:      300,
 			RunToMaxRounds: true,
-			Workers:        l.workers,
 		}
-		run := sim.Run
-		if l.concurrent {
-			run = sim.RunConcurrent
-		}
-		res, err := run(cfg)
+		res, err := sim.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Stats.Deliveries, res.Stats.NodeRounds, res.SyncRound, agentLogs(agents)
 	}
-	wantDel, wantNR, wantSync, wantHeard := single(legs[0])
+	wantDel, wantNR, wantSync, wantHeard := single()
 	if wantDel == 0 {
 		t.Fatal("reference run delivered nothing; the comparison is vacuous")
 	}
-	for _, l := range legs {
-		for _, driver := range []struct {
-			name string
-			run  func(leg) (uint64, uint64, []uint64, [][]uint64)
-		}{{"multihop", multi}, {"sim", single}} {
-			del, nr, sync, heard := driver.run(l)
-			where := driver.name + "/" + l.name
-			if del != wantDel {
-				t.Fatalf("%s: deliveries %d vs %d (single-hop serial)", where, del, wantDel)
-			}
-			if nr != wantNR {
-				t.Fatalf("%s: node-rounds %d vs %d", where, nr, wantNR)
-			}
-			for i := 0; i < n; i++ {
-				if sync[i] != wantSync[i] {
-					t.Fatalf("%s: node %d synced at %d vs %d", where, i, sync[i], wantSync[i])
-				}
-			}
-			for i := 0; i < n; i++ {
-				if len(heard[i]) != len(wantHeard[i]) {
-					t.Fatalf("%s: node %d heard %d vs %d", where, i, len(heard[i]), len(wantHeard[i]))
-				}
-				for j := range heard[i] {
-					if heard[i][j] != wantHeard[i][j] {
-						t.Fatalf("%s: node %d reception %d: uid %d vs %d", where, i, j, heard[i][j], wantHeard[i][j])
-					}
-				}
+	del, nr, sync, heard := multi()
+	if del != wantDel {
+		t.Fatalf("deliveries %d vs %d (single-hop)", del, wantDel)
+	}
+	if nr != wantNR {
+		t.Fatalf("node-rounds %d vs %d", nr, wantNR)
+	}
+	for i := 0; i < n; i++ {
+		if sync[i] != wantSync[i] {
+			t.Fatalf("node %d synced at %d vs %d", i, sync[i], wantSync[i])
+		}
+	}
+	for i := 0; i < n; i++ {
+		if len(heard[i]) != len(wantHeard[i]) {
+			t.Fatalf("node %d heard %d vs %d", i, len(heard[i]), len(wantHeard[i]))
+		}
+		for j := range heard[i] {
+			if heard[i][j] != wantHeard[i][j] {
+				t.Fatalf("node %d reception %d: uid %d vs %d", i, j, heard[i][j], wantHeard[i][j])
 			}
 		}
 	}

@@ -9,19 +9,19 @@
 // hear each other (the hidden-terminal effect). The adversary jams up to t
 // frequencies per round network-wide.
 //
-// The package has no round loop of its own. Run and RunConcurrent are
-// thin drivers over internal/sim's round core (sim.RunGraph): they
-// validate and translate Config into a sim.Config, apply churn deltas to
-// a private clone of the topology from the core's per-round graph hook,
-// and project the core's result onto Result. On the default path
-// (Config.Medium zero value) a round costs O(active) plus what its
-// transmitters touch: one pass over the awake nodes builds per-frequency
-// transmitter buckets, and each transmitter on a frequency somebody
-// listens on pushes its transmission to its listening neighbors. The complete graph (Clique) is exactly the single-hop model,
-// which TestCliqueMatchesSingleHop and TestMultihopCliqueMatchesSimIndexed
-// pin against sim.Run and sim.RunConcurrent. The legacy per-receiver full
-// neighbor scan survives behind sim.MediumScan as the differential-testing
-// oracle (TestMultihopMediumDifferential).
+// The package has no round loop of its own. Run is a thin driver over
+// internal/sim's round core (sim.RunGraph): it validates and translates
+// Config into a sim.Config, applies churn deltas to a private clone of the
+// topology from the core's per-round graph hook, and projects the core's
+// result onto Result. On the default path (Config.Medium zero value) a
+// round costs O(active) plus what its transmitters touch: one pass over
+// the awake nodes builds per-frequency transmitter buckets, and each
+// transmitter on a frequency somebody listens on pushes its transmission
+// to its listening neighbors. The complete graph (Clique) is exactly the
+// single-hop model, which TestCliqueMatchesSingleHop and
+// TestMultihopCliqueMatchesSimIndexed pin against sim.Run. The legacy
+// per-receiver full neighbor scan survives behind sim.MediumScan as the
+// differential-testing oracle (TestMultihopMediumDifferential).
 //
 // Topologies cover lines, grids, cliques, and random geometric graphs
 // (RandomGeometric, with RandomGeometricConnected retrying samples until

@@ -56,7 +56,8 @@ type Config struct {
 	Seed uint64
 	// Topology is the communication graph (its N is the node count).
 	Topology *Topology
-	// NewAgent constructs node i's protocol instance.
+	// NewAgent constructs node i's protocol instance. It is called on the
+	// goroutine that called Run, in activation order.
 	NewAgent func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent
 	// Schedule determines activation rounds; nil means all in round 1.
 	Schedule sim.Schedule
@@ -104,11 +105,6 @@ type Config struct {
 	// O(E) per round and allocating — kept only for differential testing
 	// (TestChurnDeltaMatchesRebuild pins the two paths byte-identical).
 	ChurnRebuild bool
-	// Workers sets the goroutine count for RunConcurrent (0 = one per
-	// node); Run ignores it. Churned configs are safe under RunConcurrent:
-	// delta application happens on the coordinating goroutine before the
-	// round's step barrier, never concurrently with agent stepping.
-	Workers int
 }
 
 // Result reports a multi-hop run.
@@ -144,26 +140,11 @@ func (c *Config) validate() error {
 // picks (frequency, transmit/listen); a listener u receives iff exactly
 // one neighbor of u transmitted on u's frequency and the adversary did not
 // jam it.
-func Run(c *Config) (*Result, error) { return run(c, false) }
-
-// RunConcurrent executes the simulation with agent stepping and message
-// delivery striped across worker goroutines (c.Workers of them; 0 means
-// one per node) — sim.RunConcurrent's round barrier on this config's
-// graph. It produces exactly the same Result as Run for the same Config,
-// churned configs included: churn deltas are applied on the coordinating
-// goroutine before each round's step barrier, so the graph never changes
-// while a worker is in flight (TestRunConcurrentMatchesRun pins Results
-// across churn models, schedules, and adversaries).
 //
-// c.NewAgent may be invoked from worker goroutines, concurrently for
-// distinct node IDs — the same factory contract sim.RunConcurrent
-// documents.
-func RunConcurrent(c *Config) (*Result, error) { return run(c, true) }
-
-// run translates c into a sim.Config, runs sim's round core on the
+// Run translates c into a sim.Config, runs sim's round core on the
 // topology (churned through graphAt when c.Churn is set), and projects the
 // core's result onto Result.
-func run(c *Config, concurrent bool) (*Result, error) {
+func Run(c *Config) (*Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -177,7 +158,6 @@ func run(c *Config, concurrent bool) (*Result, error) {
 		MaxRounds:      c.MaxRounds,
 		Observers:      c.Observers,
 		RunToMaxRounds: c.RunToMax,
-		Workers:        c.Workers,
 		Medium:         c.Medium,
 		NoBatch:        c.NoBatch,
 	}
@@ -201,7 +181,7 @@ func run(c *Config, concurrent bool) (*Result, error) {
 		}
 		graphAt = ch.graphAt
 	}
-	s, err := sim.RunGraph(cfg, ch.topo, graphAt, concurrent)
+	s, err := sim.RunGraph(cfg, ch.topo, graphAt)
 	if err != nil {
 		return nil, err
 	}

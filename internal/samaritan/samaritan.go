@@ -219,7 +219,7 @@ func (p Params) Schedule() []ScheduleRow {
 // or arena is built so that the step reads it instead of recomputing it.
 // Each entry is filled by the Params method of the same quantity, so the two
 // cannot disagree. A schedule is read-only after newSchedule; an arena's
-// nodes share one, also across RunConcurrent workers.
+// nodes share one.
 type schedule struct {
 	Params // with defaults applied
 

@@ -46,8 +46,7 @@ type batchCohort struct {
 // Nodes whose agent does not batch (or that opted out) land on the solo
 // list, also sorted, and are stepped through the per-node fallback.
 //
-// The round core uses it only on its serial path, for single-hop and graph
-// runs alike; the concurrent path steps per node inside workers.
+// The round core uses it for single-hop and graph runs alike.
 type batchCohorts struct {
 	n       int
 	disable bool

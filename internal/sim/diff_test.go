@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"wsync/internal/freqset"
 	"wsync/internal/rng"
 )
 
@@ -184,41 +183,6 @@ func TestMediumDifferential(t *testing.T) {
 		}
 		if scanRes.Stats.NodeRounds == 0 {
 			t.Fatalf("case %d: NodeRounds not counted", c)
-		}
-	}
-}
-
-// TestMediumDifferentialConcurrent pins the indexed path under the
-// round-barrier concurrent engine against the sequential scan oracle.
-func TestMediumDifferentialConcurrent(t *testing.T) {
-	for _, workers := range []int{0, 1, 3} {
-		mk := func(medium MediumPath, w int) *Config {
-			return &Config{
-				F:    6,
-				T:    2,
-				Seed: 0xbeef,
-				NewAgent: func(id NodeID, activation uint64, r *rng.Rand) Agent {
-					return &randomAgent{r: r, f: 6}
-				},
-				Schedule:       Explicit{Rounds: []uint64{9, 3, 7, 1, 1, 5, 2, 20, 4, 6}},
-				Adversary:      &fixedAdversary{set: freqset.FromSlice(6, []int{2, 5})},
-				MaxRounds:      160,
-				RunToMaxRounds: true,
-				Workers:        w,
-				Medium:         medium,
-			}
-		}
-		seq, err := Run(mk(MediumScan, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conc, err := RunConcurrent(mk(MediumIndexed, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(seq, conc) {
-			t.Fatalf("workers=%d: concurrent indexed differs from sequential scan:\n%+v\n%+v",
-				workers, seq.Stats, conc.Stats)
 		}
 	}
 }

@@ -11,12 +11,11 @@ import (
 )
 
 // dispatch_test.go pins the engine's output contract across its dispatch
-// paths: each node's output is read right after its step (inside
-// StepBatch for a cohort, after Step on the per-node fallback and on the
-// concurrent workers) and re-read after Deliver only for the nodes that
-// received. It also pins the record rule: round records are built, and
-// handed out as History.Last, iff an observer is attached or the
-// adversary is non-nil and not HistoryBlind.
+// paths: each node's output is read right after its step (inside StepBatch
+// for a cohort, after Step on the per-node fallback) and re-read after
+// Deliver only for the nodes that received. It also pins the record rule:
+// round records are built, and handed out as History.Last, iff an observer
+// is attached or the adversary is non-nil and not HistoryBlind.
 
 // dispatchAgent is an arena-built batch agent whose output changes either
 // inside Step (at local round syncStep) or inside Deliver (on the first
@@ -121,23 +120,17 @@ func (o *outputCheck) ObserveRound(rec *RoundRecord) {
 
 // dispatchPath is one way of running the round core over the same Config.
 type dispatchPath struct {
-	name       string
-	noBatch    bool
-	concurrent bool
-	workers    int
-	graph      bool // run on an explicit complete graph through RunGraph
+	name    string
+	noBatch bool
+	graph   bool // run on an explicit complete graph through RunGraph
 }
 
 func (p dispatchPath) run(cfg *Config) (*Result, error) {
-	cfg.NoBatch, cfg.Workers = p.noBatch, p.workers
-	switch {
-	case p.graph:
-		return RunGraph(cfg, newAllocCompleteGraph(cfg.Schedule.N()), nil, p.concurrent)
-	case p.concurrent:
-		return RunConcurrent(cfg)
-	default:
-		return Run(cfg)
+	cfg.NoBatch = p.noBatch
+	if p.graph {
+		return RunGraph(cfg, newAllocCompleteGraph(cfg.Schedule.N()), nil)
 	}
+	return Run(cfg)
 }
 
 // checkSyncRounds verifies the engine's SyncRound against each agent's own
@@ -158,12 +151,11 @@ func checkSyncRounds(res *Result, arena *dispatchArena) error {
 
 // TestOutputCapturedAfterStepAndDeliver runs agents that commit inside
 // Step and agents that commit inside Deliver through every dispatch path:
-// Run with an arena batch cohort, Run with NoBatch, RunConcurrent with 1,
-// 3 and n workers, and RunGraph (serial and concurrent) on an explicit
-// complete graph, which delivers exactly what the complete-graph medium
-// does. Every path must report the round each agent itself committed in,
-// record outputs equal to the agents' own, and identical SyncRound and
-// per-round outputs.
+// Run with an arena batch cohort, Run with NoBatch, and RunGraph on an
+// explicit complete graph, which delivers exactly what the complete-graph
+// medium does. Every path must report the round each agent itself
+// committed in, record outputs equal to the agents' own, and identical
+// SyncRound and per-round outputs.
 func TestOutputCapturedAfterStepAndDeliver(t *testing.T) {
 	const n, f, jam = 12, 3, 1
 	plan := make([][2]uint64, n)
@@ -177,11 +169,7 @@ func TestOutputCapturedAfterStepAndDeliver(t *testing.T) {
 	paths := []dispatchPath{
 		{name: "batch"},
 		{name: "nobatch", noBatch: true},
-		{name: "concurrent-1", concurrent: true, workers: 1},
-		{name: "concurrent-3", concurrent: true, workers: 3},
-		{name: "concurrent-n", concurrent: true, workers: n},
 		{name: "graph", graph: true},
-		{name: "graph-concurrent", graph: true, concurrent: true, workers: 3},
 	}
 	var ref *outputCheck
 	var refSync []uint64
@@ -298,7 +286,7 @@ func TestHistoryLastRule(t *testing.T) {
 				var res *Result
 				var err error
 				if graph {
-					res, err = RunGraph(cfg, newAllocGrid(4, 4), nil, false)
+					res, err = RunGraph(cfg, newAllocGrid(4, 4), nil)
 				} else {
 					res, err = Run(cfg)
 				}
@@ -334,9 +322,13 @@ func TestHistoryLastRule(t *testing.T) {
 
 // FuzzDispatchPaths runs one small staggered population of dispatchAgents,
 // committing in Step or in Deliver at fuzzed rounds, through Run, Run with
-// NoBatch, and RunConcurrent with two workers, and requires deep-equal
-// Results, identical per-round records, record outputs equal to the
-// agents' own, and SyncRounds matching each agent's account.
+// NoBatch, and RunGraph on an explicit complete graph. Every path must keep
+// record outputs equal to the agents' own and SyncRounds matching each
+// agent's account. The two Run paths must give deep-equal Results and
+// identical per-round records. On a graph Stats counts collisions per
+// receiver and FirstClear and Clear stay zero, so the graph path is held
+// to the same SyncRound, AllSynced, Rounds, NodeRounds and per-round
+// outputs.
 func FuzzDispatchPaths(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(3), uint8(1), uint8(2), uint8(12))
 	f.Add(uint64(7), uint8(15), uint8(1), uint8(0), uint8(0), uint8(3))
@@ -360,10 +352,11 @@ func FuzzDispatchPaths(f *testing.F) {
 		paths := []dispatchPath{
 			{name: "batch"},
 			{name: "nobatch", noBatch: true},
-			{name: "concurrent-2", concurrent: true, workers: 2},
+			{name: "graph", graph: true},
 		}
 		var ref *Result
 		var refTrace *traceObserver
+		var refCheck *outputCheck
 		for _, p := range paths {
 			arena := newDispatchArena(fr, plan)
 			check := &outputCheck{arena: arena}
@@ -390,7 +383,17 @@ func FuzzDispatchPaths(f *testing.F) {
 				t.Fatalf("%s: %v", p.name, err)
 			}
 			if ref == nil {
-				ref, refTrace = res, trace
+				ref, refTrace, refCheck = res, trace, check
+				continue
+			}
+			if p.graph {
+				if !reflect.DeepEqual(res.SyncRound, ref.SyncRound) || res.AllSynced != ref.AllSynced ||
+					res.Stats.Rounds != ref.Stats.Rounds || res.Stats.NodeRounds != ref.Stats.NodeRounds {
+					t.Fatalf("%s: Result differs from %s:\n%+v\n%+v", p.name, paths[0].name, res, ref)
+				}
+				if !reflect.DeepEqual(check.outputs, refCheck.outputs) {
+					t.Fatalf("%s: per-round outputs diverge from %s", p.name, paths[0].name)
+				}
 				continue
 			}
 			if !reflect.DeepEqual(res, ref) {

@@ -11,23 +11,18 @@
 // transmission. Nodes are activated at schedule-determined rounds and run
 // local round counters starting at activation.
 //
-// The package holds the one round core every Section 2 engine runs on, in
-// two forms over the same Config: Run executes nodes sequentially in one
-// goroutine; RunConcurrent gives every node agent its own goroutine (or
-// Config.Workers of them) synchronized by round barriers. Both are
-// deterministic given the same Config and produce identical Results,
-// which a test verifies; the concurrent form exists because node agents
-// map naturally onto goroutines and it parallelizes expensive per-node
-// work.
+// The package holds the one round core every Section 2 engine runs on.
+// It runs serially on the calling goroutine, and a Result is a pure
+// function of its Config. Parallelism lives one level up, across
+// independent trials (internal/pool), so a run needs no synchronization.
 //
-// The core is parameterized by topology. Run and RunConcurrent resolve on
-// the complete graph (a nil medium.Graph), the single-hop model above.
-// RunGraph runs the same loop, serial or concurrent, on an explicit
-// communication graph, where a listener hears only its neighbors, with
-// an optional per-round graph hook for dynamic topologies; it is the
-// entry point of the multi-hop drivers in internal/multihop. Work only
-// the single-hop model needs (per-frequency classification, Clear and
-// FirstClear) runs only on the complete graph.
+// The core is parameterized by topology. Run resolves on the complete
+// graph (a nil medium.Graph), the single-hop model above. RunGraph runs
+// the same loop on an explicit communication graph, where a listener hears
+// only its neighbors, with an optional per-round graph hook for dynamic
+// topologies; it is the entry point of the multi-hop drivers in
+// internal/multihop. Work only the single-hop model needs (per-frequency
+// classification, Clear and FirstClear) runs only on the complete graph.
 //
 // A round touches each awake node's state once, in the step pass: batch
 // cohorts (BatchAgent) and the per-node fallback both store the node's

@@ -18,17 +18,16 @@ import (
 var totalNodeRounds atomic.Uint64
 
 // TotalNodeRounds returns the process-wide count of active node-rounds
-// executed by completed Run and RunConcurrent calls. Graph runs (RunGraph)
-// are not included; their drivers keep their own count. The count is
-// deterministic for a deterministic workload: it never depends on
-// scheduling or parallelism.
+// executed by completed Run calls, which may run on many goroutines at
+// once (parallel trials). Graph runs (RunGraph) are not included; their
+// drivers keep their own count. The count is deterministic for a
+// deterministic workload: it never depends on scheduling or parallelism.
 func TotalNodeRounds() uint64 { return totalNodeRounds.Load() }
 
-// engine is the one round core behind every driver: Run and RunConcurrent
-// on the complete graph, and RunGraph (multihop's drivers) on an explicit
-// communication graph. The serial and concurrent forms differ only in how
-// per-node activation, Step, and Deliver calls are dispatched; resolution
-// of the medium is identical and order-independent.
+// engine is the one round core behind every driver: Run on the complete
+// graph, and RunGraph (multihop's drivers) on an explicit communication
+// graph. It runs serially on the calling goroutine; parallelism lives one
+// level up, across independent trials (internal/pool).
 type engine struct {
 	cfg *Config
 	n   int
@@ -74,9 +73,9 @@ type engine struct {
 	graphAt func(r uint64) medium.Graph
 
 	// pending delivery per node for the current round; pendingList names
-	// the nodes with hasPending set, in ascending order.
+	// the nodes that received one, in ascending order. A stale pending
+	// entry is never read: deliver reads only the nodes on pendingList.
 	pending     []msg.Message
-	hasPending  []bool
 	pendingList []int
 
 	// per-frequency scratch (index 1..F) used only by the legacy scan
@@ -97,10 +96,6 @@ type engine struct {
 	// adversary is non-nil and not HistoryBlind, on either topology, so
 	// other runs pay only dead branch checks.
 	record bool
-
-	// workers runs the per-node halves of each round on goroutines; nil on
-	// the serial path.
-	workers *workerPool
 
 	syncedCount int
 }
@@ -123,7 +118,6 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		active:     make([]bool, n),
 		outs:       make([]Output, n),
 		pending:    make([]msg.Message, n),
-		hasPending: make([]bool, n),
 		emptySet:   freqset.New(cfg.F),
 		batch:      newBatchCohorts(n, cfg.NoBatch),
 		graph:      graph,
@@ -158,18 +152,15 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 	return e, nil
 }
 
-// activateRound brings up any nodes scheduled for round r. On the
-// concurrent path it does only the bookkeeping; the workers construct
-// their own nodes' agents and flip their active flags.
+// activateRound brings up any nodes scheduled for round r, in ascending
+// node order.
 func (e *engine) activateRound(r uint64) {
 	for _, i := range e.act.Wake(r) {
 		e.hist.Activated[i] = r
-		if e.workers == nil {
-			e.active[i] = true
-			a := e.cfg.NewAgent(NodeID(i), r, &e.agentRNG[i])
-			e.agents[i] = a
-			e.batch.Add(i, a)
-		}
+		e.active[i] = true
+		a := e.cfg.NewAgent(NodeID(i), r, &e.agentRNG[i])
+		e.agents[i] = a
+		e.batch.Add(i, a)
 	}
 }
 
@@ -186,11 +177,6 @@ func (e *engine) resolve(r uint64, disrupted *freqset.Set) {
 	rec.Deliveries = rec.Deliveries[:0]
 	rec.Clear = rec.Clear[:0]
 
-	// Only nodes on pendingList can have hasPending set, so clearing them
-	// is equivalent to the legacy full sweep over all N.
-	for _, i := range e.pendingList {
-		e.hasPending[i] = false
-	}
 	e.pendingList = e.pendingList[:0]
 	e.res.Stats.NodeRounds += uint64(len(e.act.Active()))
 
@@ -375,7 +361,6 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 // transmission (by node from) at listener i.
 func (e *engine) queueDelivery(i int, f int, from NodeID) {
 	e.pending[i] = e.deliverable(from)
-	e.hasPending[i] = true
 	e.pendingList = append(e.pendingList, i)
 	e.hist.Received[i] = true
 	if e.record {
@@ -500,13 +485,8 @@ func (e *engine) stepAgent(i int, r uint64) {
 }
 
 // step advances every awake node for round r: batched cohorts first, then
-// the per-node fallback — or, on the concurrent path, everything behind
-// the workers' step barrier.
+// the per-node fallback.
 func (e *engine) step(r uint64) {
-	if e.workers != nil {
-		e.workers.barrier(workerCmd{round: r})
-		return
-	}
 	if e.rec.Weights != nil {
 		for _, i := range e.act.Active() {
 			e.probeWeight(i)
@@ -519,13 +499,9 @@ func (e *engine) step(r uint64) {
 }
 
 // deliver hands this round's receptions to their listeners and re-reads
-// each receiver's output — on the concurrent path behind the workers'
-// deliver barrier. Every other node's output is the one its step stored.
-func (e *engine) deliver(r uint64) {
-	if e.workers != nil {
-		e.workers.barrier(workerCmd{round: r, deliver: true})
-		return
-	}
+// each receiver's output. Every other node's output is the one its step
+// stored.
+func (e *engine) deliver() {
 	for _, i := range e.pendingList {
 		a := e.agents[i]
 		a.Deliver(e.pending[i])
@@ -535,7 +511,7 @@ func (e *engine) deliver(r uint64) {
 
 // runRound executes round r end to end and reports whether the run should
 // stop. After warm-up (all nodes awake, every reused buffer at its
-// high-water capacity) a serial round performs zero heap allocations;
+// high-water capacity) a round performs zero heap allocations;
 // TestSteadyStateAllocs pins this.
 func (e *engine) runRound(r uint64) (stop bool) {
 	if e.graphAt != nil {
@@ -546,22 +522,19 @@ func (e *engine) runRound(r uint64) (stop bool) {
 	disrupted := e.disruptedSet(r)
 	e.step(r)
 	e.resolve(r, disrupted)
-	e.deliver(r)
+	e.deliver()
 	e.recordOutputs(r)
 	return e.observeAndCheckStop(r)
 }
 
 // run builds the core over graph (nil: the complete graph) and executes
 // rounds until the stop rule fires or the round limit is reached.
-func run(cfg *Config, graph medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
+func run(cfg *Config, graph medium.Graph, graphAt func(r uint64) medium.Graph) (*Result, error) {
 	e, err := newEngine(cfg, graph)
 	if err != nil {
 		return nil, err
 	}
 	e.graphAt = graphAt
-	if concurrent {
-		defer e.startWorkers()()
-	}
 	limit := cfg.MaxRounds
 	if limit == 0 {
 		limit = DefaultMaxRounds
@@ -582,14 +555,13 @@ func countNodeRounds(res *Result, err error) (*Result, error) {
 	return res, err
 }
 
-// Run executes the simulation sequentially and returns its result. It
-// returns an error only for invalid configurations; model violations by
-// protocols or adversaries (out-of-range frequencies, over-budget
-// disruption) panic, as they are programming errors.
-func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil, false)) }
+// Run executes the simulation on the calling goroutine and returns its
+// result. It returns an error only for invalid configurations; model
+// violations by protocols or adversaries (out-of-range frequencies,
+// over-budget disruption) panic, as they are programming errors.
+func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil)) }
 
-// RunGraph executes Run's round loop (RunConcurrent's with concurrent set)
-// on communication graph g instead of the complete graph: a listener on
+// RunGraph executes Run's round loop on communication graph g instead of the complete graph: a listener on
 // frequency f receives iff exactly one of its neighbors in g transmits on
 // f and f is not disrupted. It is the multihop drivers' entry point.
 // graphAt, if non-nil, returns each round's graph before its activations;
@@ -600,12 +572,12 @@ func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, ni
 // ClearBroadcasts stay zero. Round records and History.Last follow the
 // same rule as Run's (see HistoryBlind), and TotalNodeRounds is not
 // updated.
-func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph, concurrent bool) (*Result, error) {
+func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph) (*Result, error) {
 	switch {
 	case g == nil:
 		return nil, errors.New("sim: RunGraph needs a graph")
 	case cfg.Schedule != nil && g.N() != cfg.Schedule.N():
 		return nil, fmt.Errorf("sim: graph has %d nodes, schedule covers %d", g.N(), cfg.Schedule.N())
 	}
-	return run(cfg, g, graphAt, concurrent)
+	return run(cfg, g, graphAt)
 }

@@ -130,44 +130,6 @@ func (a *randomAdv) Disrupt(round uint64, h *History) *freqset.Set {
 	return a.set
 }
 
-// Property: the concurrent engine matches the sequential engine for random
-// configurations (stats and sync rounds), including with weight probing.
-func TestQuickConcurrentParity(t *testing.T) {
-	prop := func(seed uint64, nRaw, fRaw, workersRaw uint8) bool {
-		n := int(nRaw%10) + 2
-		f := int(fRaw%6) + 2
-		workers := int(workersRaw % 5) // 0 = per-node
-		mk := func() *Config {
-			return &Config{
-				F:    f,
-				T:    1,
-				Seed: seed,
-				NewAgent: func(id NodeID, activation uint64, r *rng.Rand) Agent {
-					return &randomAgent{r: r, f: f}
-				},
-				Schedule:       Staggered{Count: n, Gap: 2},
-				Adversary:      &randomAdv{f: f, t: 1, r: rng.New(seed + 9)},
-				MaxRounds:      120,
-				RunToMaxRounds: true,
-				ProbeWeights:   true,
-				Workers:        workers,
-			}
-		}
-		seq, err := Run(mk())
-		if err != nil {
-			return false
-		}
-		conc, err := RunConcurrent(mk())
-		if err != nil {
-			return false
-		}
-		return resultsEqual(seq, conc)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: adversary budgets are respected in every round (the engine
 // panics otherwise), and nodes never receive their own transmissions.
 func TestQuickNoSelfDelivery(t *testing.T) {

@@ -33,8 +33,8 @@ type Output struct {
 // Step and, for a node that received a message, again after Deliver; the
 // last value read in a round is the node's output for that round.
 //
-// Agents are driven by a single goroutine at a time and need no internal
-// locking.
+// Agents are driven by the goroutine that called Run or RunGraph and need
+// no internal locking.
 type Agent interface {
 	// Step returns the node's action for its local round (1-based; local
 	// round 1 is the activation round).
@@ -238,7 +238,9 @@ type Config struct {
 	// yield identical executions.
 	Seed uint64
 	// NewAgent constructs node i's protocol instance. The provided Rand is
-	// the node's private stream.
+	// the node's private stream. It is always called on the goroutine that
+	// called Run or RunGraph, in activation order (by round, then by
+	// ascending node ID).
 	NewAgent func(id NodeID, activation uint64, r *rng.Rand) Agent
 	// Schedule determines activation times.
 	Schedule Schedule
@@ -265,9 +267,6 @@ type Config struct {
 	// depend only on what actually fits in a radio slot. Encoding failures
 	// panic: a protocol emitting unencodable messages is a bug.
 	WireFidelity bool
-	// Workers sets the number of worker goroutines used by RunConcurrent
-	// and concurrent RunGraph calls; 0 means one goroutine per node.
-	Workers int
 	// Medium selects the medium-resolution path; the zero value is the
 	// frequency-indexed fast path. MediumScan forces the legacy O(F + N)
 	// scan, which exists as a differential-testing oracle.

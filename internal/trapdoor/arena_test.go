@@ -52,32 +52,3 @@ func TestArenaNewAgentAllocs(t *testing.T) {
 		t.Fatalf("Arena.NewAgent allocates %v times per call, want 0", allocs)
 	}
 }
-
-// TestArenaConcurrentMatchesRun pins that the schedule an arena's slots
-// share is safe to read from RunConcurrent's workers: an arena-built
-// concurrent run equals the serial run.
-func TestArenaConcurrentMatchesRun(t *testing.T) {
-	p := Params{N: 32, F: 8, T: 2}
-	mk := func(workers int) *sim.Config {
-		return &sim.Config{
-			F:         8,
-			T:         2,
-			Seed:      5,
-			NewAgent:  MustNewArena(p, 24).NewAgent,
-			Schedule:  sim.Staggered{Count: 24, Gap: 2},
-			MaxRounds: 100000,
-			Workers:   workers,
-		}
-	}
-	seq, err := sim.Run(mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := sim.RunConcurrent(mk(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, conc) {
-		t.Fatalf("concurrent arena run differs from serial run:\n%+v\n%+v", seq.Stats, conc.Stats)
-	}
-}

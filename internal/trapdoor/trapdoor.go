@@ -191,7 +191,7 @@ func (p Params) Schedule() []ScheduleRow {
 // a node or arena is built so that the step reads it instead of recomputing
 // it. Each entry is filled by the Params method of the same quantity, so the
 // two cannot disagree. A schedule is read-only after newSchedule; an
-// arena's nodes share one, also across RunConcurrent workers.
+// arena's nodes share one.
 type schedule struct {
 	Params // with defaults applied
 
@@ -219,8 +219,8 @@ func newSchedule(p Params) *schedule {
 
 // Node is one Trapdoor Protocol participant. It implements sim.Agent,
 // sim.BroadcastProber and sim.LeaderReporter. Nodes are not safe for
-// concurrent use; the engine drives each from one goroutine at a time. A
-// node reads its parameters and epoch schedule through p, which New builds
+// concurrent use; the engine drives them all from the goroutine that
+// called sim.Run or sim.RunGraph. A node reads its parameters and epoch schedule through p, which New builds
 // per node and an Arena shares across its slots.
 type Node struct {
 	p    *schedule
@@ -284,9 +284,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // derived once and shared read-only by all slots. Its NewAgent matches
 // sim.Config.NewAgent and draws exactly what New draws from the node's rng
 // stream, so arena-built runs are bit-identical to MustNew-built runs; slot
-// i is only ever touched by node i, so the arena is safe under
-// RunConcurrent's disjoint node ownership. Arena-built nodes form one batch
-// cohort (the arena pointer is the cohort key).
+// i is only ever touched by node i. Arena-built nodes form one batch cohort
+// (the arena pointer is the cohort key).
 type Arena struct {
 	p     *schedule
 	nodes []Node

@@ -148,9 +148,6 @@ type Config struct {
 	Seed uint64
 	// MaxRounds bounds the run (default 1<<22).
 	MaxRounds uint64
-	// Concurrent runs node agents on goroutines (same results, parallel
-	// execution).
-	Concurrent bool
 	// RunFullBudget keeps the simulation running until MaxRounds even
 	// after every node has synchronized — required by applications that
 	// exchange data on the synchronized rounds.
@@ -268,12 +265,7 @@ func Run(c Config) (*Result, error) {
 		RunToMaxRounds: c.RunFullBudget,
 		Observers:      append([]sim.Observer{check}, c.Observers...),
 	}
-	var res *sim.Result
-	if c.Concurrent {
-		res, err = sim.RunConcurrent(cfg)
-	} else {
-		res, err = sim.Run(cfg)
-	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("wsync: %w", err)
 	}

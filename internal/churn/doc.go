@@ -41,8 +41,8 @@
 //     partitions) stack without coordinating.
 //
 // MaskFlip is the rendezvous-side sibling: it churns the parties'
-// per-channel masks through the rendezvous engine's MaskModel hook, which
-// drives the same SetGraph swap path on the game graph.
+// per-channel masks through the rendezvous driver's MaskModel hook, which
+// reaches receptions through the round core's per-listener disruption.
 //
 // All models are deterministic in their seed and construction arguments,
 // and a model instance drives exactly one run — trials construct fresh

@@ -60,10 +60,10 @@ type TwoNodeResult struct {
 // p_j·q_j of the nodes' selection probabilities — the strategy from the
 // Theorem 4 proof. The game ends at the first rendezvous.
 //
-// Since the rendezvous engine landed, TwoNodeGame is a two-party instance
-// of rendezvous.Run with the Greedy product jammer; TwoNodeGameScan keeps
-// the original private loop as the differential oracle. Both produce
-// bit-identical meeting rounds (TestTwoNodeGameMatchesScan).
+// TwoNodeGame is a two-party instance of rendezvous.Run with the Greedy
+// product jammer; TwoNodeGameScan keeps the original private loop as the
+// differential oracle. Both produce bit-identical meeting rounds
+// (TestTwoNodeGameMatchesScan).
 func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
 	if maxRounds == 0 {
 		return TwoNodeResult{}
@@ -87,8 +87,8 @@ func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed u
 }
 
 // TwoNodeGameScan is the pre-engine implementation of TwoNodeGame, kept as
-// the differential oracle for the shared rendezvous engine (the same role
-// sim.MediumScan plays for the frequency-indexed medium). Its greedy
+// the differential oracle for rendezvous.Run on the round core (the same
+// role sim.MediumScan plays for the frequency-indexed medium). Its greedy
 // rescan — t passes over [1..F], each blocking the first unblocked channel
 // of strictly highest product — is now the only copy of that loop in the
 // program: rendezvous.Greedy and the history-reading jammers select

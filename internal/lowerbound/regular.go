@@ -110,7 +110,7 @@ func (u UnknownT) Dist(local uint64) freqdist.Dist {
 // TxProb returns 1/2 (the two-node game's optimum).
 func (u UnknownT) TxProb(uint64) float64 { return 0.5 }
 
-// regularStrategy adapts a Regular schedule to the rendezvous engine: the
+// regularStrategy adapts a Regular schedule to rendezvous games: the
 // channel draw comes first and the transmit coin second, the same stream
 // order the two-node scan loop used, so engine games are bit-compatible
 // with their pre-engine counterparts.

@@ -17,11 +17,9 @@ type benchRound struct {
 }
 
 // BenchmarkResolverGraph times one graph round — register every node,
-// resolve every listener, Reset — on two shapes: the multihop relay graph
-// (a random geometric graph, n=1024, radius 0.06, F=6, every node awake)
-// with 2, 64 and 512 transmitters, and the rendezvous star (16 mutually
-// adjacent parties on F=64 and one jam node per channel neighboring every
-// party, 24 of them carrying a blocked channel).
+// resolve every listener, Reset — on the multihop relay graph (a random
+// geometric graph, n=1024, radius 0.06, F=6, every node awake) with 2, 64
+// and 512 transmitters.
 func BenchmarkResolverGraph(b *testing.B) {
 	const rounds = 64
 	rgg := multihop.RandomGeometric(1024, 0.06, 1)
@@ -41,37 +39,6 @@ func BenchmarkResolverGraph(b *testing.B) {
 			benchResolve(b, medium.NewResolver(6, rgg.N(), rgg), rs)
 		})
 	}
-	b.Run("rendezvous/parties=16/jam=24", func(b *testing.B) {
-		const parties, f, jammed = 16, 64, 24
-		g := &starGraph{adj: make([][]int, parties+f)}
-		all := make([]int, parties)
-		for p := range all {
-			all[p] = p
-		}
-		for p := 0; p < parties; p++ {
-			for q := 0; q < parties+f; q++ {
-				if q != p {
-					g.adj[p] = append(g.adj[p], q)
-				}
-			}
-		}
-		for j := parties; j < parties+f; j++ {
-			g.adj[j] = all
-		}
-		r := rng.New(7)
-		rs := make([]benchRound, rounds)
-		for k := range rs {
-			rs[k] = benchRound{freq: make([]int, parties+f), tx: make([]bool, parties+f)}
-			for p := 0; p < parties; p++ {
-				rs[k].freq[p], rs[k].tx[p] = 1+r.Intn(f), r.Bool()
-			}
-			// Channel c+1's jam node is parties+c.
-			for _, c := range r.SampleK(f, jammed) {
-				rs[k].freq[parties+c], rs[k].tx[parties+c] = c+1, true
-			}
-		}
-		benchResolve(b, medium.NewResolver(f, g.N(), g), rs)
-	})
 }
 
 // benchResolve plays the pre-drawn rounds in a loop, registering nodes
@@ -101,11 +68,3 @@ func benchResolve(b *testing.B, res *medium.Resolver, rs []benchRound) {
 
 // benchHeard keeps the compiler from discarding Receive's results.
 var benchHeard int
-
-// starGraph is the rendezvous shape's explicit adjacency.
-type starGraph struct {
-	adj [][]int
-}
-
-func (g *starGraph) N() int                { return len(g.adj) }
-func (g *starGraph) Neighbors(i int) []int { return g.adj[i] }

@@ -2,7 +2,8 @@
 // the round core in internal/sim: single-hop runs (the complete graph)
 // and multi-hop runs (internal/multihop's drivers, on an explicit graph)
 // resolve each round's radio activity through the same machinery,
-// parameterized by topology. The rendezvous engine uses it too.
+// parameterized by topology. Rendezvous games reach it through the core
+// too, as a driver on the complete graph over their parties.
 //
 // The package has two pieces. Activation turns a schedule's per-node
 // activation rounds into per-round wake buckets and a sorted active list,

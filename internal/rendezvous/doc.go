@@ -1,5 +1,5 @@
-// Package rendezvous hosts whitespace-style rendezvous games on the shared
-// frequency-indexed medium resolver (internal/medium).
+// Package rendezvous hosts whitespace-style rendezvous games on the sim
+// round core (internal/sim).
 //
 // The setting is the one of "Optimal whitespace synchronization strategies"
 // (Azar et al.) and the energy-constrained regime of "Near-Optimal Radio
@@ -8,8 +8,8 @@
 // adversary blocks channels, statically (a whitespace availability map) or
 // per round (a churning jammer). A meeting is a clean radio event — one
 // party transmits, another listens, same channel, no interference — so the
-// game runs on the same medium resolution the synchronization engines use
-// rather than on a private loop.
+// game runs in the same slotted round as the synchronization engines
+// rather than in a private loop.
 //
 // The pieces:
 //
@@ -28,16 +28,15 @@
 //     the whole internal/adversary gallery by replaying the previous
 //     round's party actions to the adversary as history.
 //
-// The engine (Run) expresses all blocking through the medium.Graph
-// interface instead of special-casing it: blocked channels become
-// transmissions by virtual jammer nodes, and per-party masks become graph
-// adjacency — a mask node neighbors only the party it blocks, a global
-// jammer node neighbors every party. A listener on a blocked channel then
-// observes a collision through the ordinary Resolver.Receive resolution,
-// and the rendezvous medium is literally "one more Graph" over the
-// resolver, not a new engine.
+// Run is a driver over sim.RunGraph, as multihop is: the k parties are
+// the only nodes, on the complete graph over them, and a meeting is a
+// delivery. Blocking goes through the core's adversary slot. Each round,
+// before the parties step, the game applies the mask deltas and asks the
+// jammer for its blocked set. The core then drops a clean reception
+// when sim.ListenerDisrupter reports its channel blocked globally or
+// masked for the listening party.
 //
-// lowerbound.TwoNodeGame is this engine with two parties and the greedy
+// lowerbound.TwoNodeGame is this driver with two parties and the greedy
 // jammer; the pre-engine loop survives as lowerbound.TwoNodeGameScan, the
 // differential oracle (TestRendezvousMatchesTwoNodeGame pins bit-for-bit
 // equality of meeting rounds).

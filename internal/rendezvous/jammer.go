@@ -7,7 +7,7 @@ import (
 	"wsync/internal/sim"
 )
 
-// Round is the read-only per-round view the engine hands to jammers before
+// Round is the read-only per-round view the driver hands to jammers before
 // the parties act.
 type Round struct {
 	// Global is the 1-based global round about to be played.
@@ -121,8 +121,7 @@ func (g *Greedy) Block(rd *Round) *freqset.Set {
 // rendezvous band: the adversary's per-round disruption set becomes the
 // blocked set. Adaptive adversaries (reactive, stalker) see a synthetic
 // history carrying the previous round's party actions, so they target the
-// parties' actual transmissions and listens; the virtual jam nodes are
-// invisible to them.
+// parties' actual transmissions and listens.
 type Churn struct {
 	adv  sim.Adversary
 	hist sim.History

@@ -94,8 +94,7 @@ func TestDynamicMasksBlockAllStarves(t *testing.T) {
 }
 
 // TestDynamicMasksChurn toggles one slot on and off across rounds — the
-// add/remove/re-add path through repeated SetGraph swaps — and expects a
-// clean finish.
+// block/unblock/re-block path — and expects a clean finish.
 func TestDynamicMasksChurn(t *testing.T) {
 	res, err := Run(&Config{
 		F: 3,

@@ -249,7 +249,7 @@ func TestTwoPartyOpenBand(t *testing.T) {
 	}
 }
 
-// TestMaskIsPerParty pins the graph encoding of masks: A transmits on a
+// TestMaskIsPerParty pins the per-listener reach of masks: A transmits on a
 // channel that only C masks, so B meets A every round while C never does.
 func TestMaskIsPerParty(t *testing.T) {
 	res, err := Run(&Config{
@@ -376,9 +376,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestJamNodesInvisibleInResult: a round where only the jammer transmits
-// must not count as a meeting even though the listener receives cleanly
-// from the jam node.
+// TestJamNodesInvisibleInResult: a jammed channel with nobody transmitting
+// on it is silence, not a meeting.
 func TestJamNodesInvisibleInResult(t *testing.T) {
 	res, err := Run(&Config{
 		F: 2,
@@ -394,7 +393,7 @@ func TestJamNodesInvisibleInResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Meetings != 0 || res.FirstMeet != 0 {
-		t.Fatalf("bare jam carrier counted as a meeting: %+v", res)
+		t.Fatalf("a jammed silent channel counted as a meeting: %+v", res)
 	}
 }
 

@@ -72,6 +72,10 @@ type engine struct {
 	graph   medium.Graph
 	graphAt func(r uint64) medium.Graph
 
+	// listenJam is the adversary's per-listener hook, consulted only on
+	// a graph; nil unless the adversary is a ListenerDisrupter.
+	listenJam ListenerDisrupter
+
 	// pending delivery per node for the current round; pendingList names
 	// the nodes that received one, in ascending order. A stale pending
 	// entry is never read: deliver reads only the nodes on pendingList.
@@ -106,6 +110,10 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 	}
 	n := cfg.Schedule.N()
 	_, blind := cfg.Adversary.(HistoryBlind)
+	listenJam, _ := cfg.Adversary.(ListenerDisrupter)
+	if listenJam != nil && graph == nil {
+		return nil, errors.New("sim: a ListenerDisrupter adversary needs RunGraph")
+	}
 	e := &engine{
 		cfg:        cfg,
 		n:          n,
@@ -121,6 +129,7 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		emptySet:   freqset.New(cfg.F),
 		batch:      newBatchCohorts(n, cfg.NoBatch),
 		graph:      graph,
+		listenJam:  listenJam,
 		record:     len(cfg.Observers) > 0 || (cfg.Adversary != nil && !blind),
 	}
 	master := rng.New(cfg.Seed)
@@ -246,7 +255,7 @@ func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
 			case count == 0:
 			case count >= 2:
 				e.res.Stats.Collisions++
-			case disrupted.Contains(f):
+			case disrupted.Contains(f), e.listenJam != nil && e.listenJam.DisruptedAt(NodeID(i), f):
 				// jammed: nothing heard
 			default:
 				e.queueDelivery(i, f, NodeID(from))
@@ -323,7 +332,7 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 			case count == 0:
 			case count >= 2:
 				e.res.Stats.Collisions++
-			case disrupted.Contains(f):
+			case disrupted.Contains(f), e.listenJam != nil && e.listenJam.DisruptedAt(NodeID(i), f):
 				// jammed: nothing heard
 			default:
 				e.queueDelivery(i, f, NodeID(from))
@@ -561,17 +570,20 @@ func countNodeRounds(res *Result, err error) (*Result, error) {
 // over-budget disruption) panic, as they are programming errors.
 func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil)) }
 
-// RunGraph executes Run's round loop on communication graph g instead of the complete graph: a listener on
-// frequency f receives iff exactly one of its neighbors in g transmits on
-// f and f is not disrupted. It is the multihop drivers' entry point.
-// graphAt, if non-nil, returns each round's graph before its activations;
-// it must not return nil, and may return g itself mutated in place.
+// RunGraph executes Run's round loop on communication graph g instead of
+// the complete graph: a listener on frequency f receives iff exactly one
+// of its neighbors in g transmits on f, f is not disrupted, and a
+// ListenerDisrupter adversary does not disrupt f for that listener. It is
+// the entry point of both drivers over the core: multihop, and rendezvous
+// on the complete graph over its parties. graphAt, if non-nil, returns
+// each round's graph before its activations; it must not return nil, and
+// may return g itself mutated in place.
 //
 // Stats.Collisions counts (receiver, round) pairs with two or more
 // transmitting neighbors; FirstClear, Clear, DisruptedLosses, and
 // ClearBroadcasts stay zero. Round records and History.Last follow the
 // same rule as Run's (see HistoryBlind), and TotalNodeRounds is not
-// updated.
+// updated: each driver keeps its own count.
 func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph) (*Result, error) {
 	switch {
 	case g == nil:

@@ -96,6 +96,17 @@ type HistoryBlind interface {
 	IgnoresHistory()
 }
 
+// ListenerDisrupter is an Adversary that also disrupts receptions one
+// listener at a time. On a graph (RunGraph), listener i's reception on
+// frequency f, clean by the neighborhood rule and the global disrupted
+// set, is lost when DisruptedAt(i, f) reports true. The core calls it in
+// the round's resolution, after Disrupt, and only for such receptions.
+// The complete graph (Run) has no per-listener path and rejects it.
+type ListenerDisrupter interface {
+	Adversary
+	DisruptedAt(i NodeID, f int) bool
+}
+
 // RoundRecord describes one completed round. Records handed to observers
 // and adversaries are only valid during the call; the engine reuses their
 // backing storage. The engine fills a record only when something reads it

@@ -1,44 +1,36 @@
-package rendezvous_test
+package rendezvous
 
 import (
 	"testing"
 
 	"wsync/internal/multihop"
-	"wsync/internal/rendezvous"
-	"wsync/internal/rng"
 	"wsync/internal/sim"
 )
 
-// outOfBand picks channel 0, which no band contains.
-type outOfBand struct{}
-
-func (outOfBand) Pick(uint64, *rng.Rand) (int, bool) { return 0, true }
-
-// blockTwice blocks party 0's channel 1 in rounds 2 and 3; the second
-// block is a bad delta.
-type blockTwice struct{}
-
-func (blockTwice) MaskDeltas(r uint64) (block, unblock [][2]int) {
-	if r == 2 || r == 3 {
-		return [][2]int{{0, 1}}, nil
-	}
-	return nil, nil
-}
-
 // counters reads the three process-wide node-round counters.
 func counters() [3]uint64 {
-	return [3]uint64{rendezvous.TotalNodeRounds(), sim.TotalNodeRounds(), multihop.TotalNodeRounds()}
+	return [3]uint64{TotalNodeRounds(), sim.TotalNodeRounds(), multihop.TotalNodeRounds()}
 }
 
 // TestNodeRoundAccounting checks that one game adds exactly its
-// NodeRounds to rendezvous.TotalNodeRounds and nothing to the sim and
-// multihop counters, which a report sums with it; a game that fails moves
-// no counter. It must not run in parallel with other engine tests, since
-// it reads process-wide counters.
+// NodeRounds to TotalNodeRounds and nothing to the sim and multihop
+// counters, which a report sums with it; a game that fails moves no
+// counter. It must not run in parallel with other engine tests, since it
+// reads process-wide counters.
 func TestNodeRoundAccounting(t *testing.T) {
-	cfg := goldenCase(16, "greedy", "both", 1)
+	parties := make([]Party, 5)
+	for p := range parties {
+		parties[p] = Party{Strategy: Uniform{M: 8, P: 0.5}, Wake: uint64(1 + 2*p), Mask: []int{1 + p}}
+	}
 	before := counters()
-	res, err := rendezvous.Run(cfg)
+	res, err := Run(&Config{
+		F:         8,
+		Parties:   parties,
+		Jammer:    NewGreedy(8, 2),
+		Masks:     &scriptedMasks{script: map[uint64][2][][2]int{2: {[][2]int{{0, 3}}, nil}}},
+		MaxRounds: 1 << 12,
+		Seed:      5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,23 +42,26 @@ func TestNodeRoundAccounting(t *testing.T) {
 		t.Fatalf("sim/multihop counters moved: %v -> %v", before, after)
 	}
 
-	uniform := rendezvous.Uniform{M: 3, P: 1}
-	failing := map[string]*rendezvous.Config{
+	uniform := Uniform{M: 3, P: 1}
+	failing := map[string]*Config{
 		"out-of-band pick": {
 			F:         3,
-			Parties:   []rendezvous.Party{{Strategy: uniform}, {Strategy: outOfBand{}, Wake: 3}},
+			Parties:   []Party{{Strategy: uniform}, {Strategy: badStrategy{}, Wake: 3}},
 			MaxRounds: 10,
 		},
 		"double block": {
-			F:         3,
-			Parties:   []rendezvous.Party{{Strategy: uniform}, {Strategy: uniform}},
-			Masks:     blockTwice{},
+			F:       3,
+			Parties: []Party{{Strategy: uniform}, {Strategy: uniform}},
+			Masks: &scriptedMasks{script: map[uint64][2][][2]int{
+				2: {[][2]int{{0, 1}}, nil},
+				3: {[][2]int{{0, 1}}, nil},
+			}},
 			MaxRounds: 10,
 		},
 	}
 	for name, cfg := range failing {
 		before := counters()
-		if _, err := rendezvous.Run(cfg); err == nil {
+		if _, err := Run(cfg); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 		if after := counters(); after != before {

@@ -123,7 +123,7 @@ func Run(cfg *Config) (*Result, error) {
 		MaxRounds:      cfg.MaxRounds,
 		StopWhen:       func(*sim.History) bool { return g.err != nil || g.res.AllMet != 0 },
 		RunToMaxRounds: true,
-	}, newClique(k), nil)
+	}, sim.NewClique(k), nil)
 	if err == nil {
 		err = g.err
 	}
@@ -133,26 +133,6 @@ func Run(cfg *Config) (*Result, error) {
 	g.res.Rounds, g.res.NodeRounds = s.Stats.Rounds, s.Stats.NodeRounds
 	totalNodeRounds.Add(g.res.NodeRounds)
 	return &g.res, nil
-}
-
-// clique is the complete graph over the k parties, with every neighbor
-// list explicit so the core resolves on its graph path, the one that
-// consults sim.ListenerDisrupter.
-type clique [][]int
-
-func (c clique) N() int                { return len(c) }
-func (c clique) Neighbors(i int) []int { return c[i] }
-
-func newClique(k int) clique {
-	c := make(clique, k)
-	for p := range c {
-		for q := 0; q < k; q++ {
-			if q != p {
-				c[p] = append(c[p], q)
-			}
-		}
-	}
-	return c
 }
 
 // Bits of game.masked.

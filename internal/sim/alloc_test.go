@@ -131,29 +131,6 @@ type allocSchedule []uint64
 func (s allocSchedule) N() int                       { return len(s) }
 func (s allocSchedule) ActivationRound(i int) uint64 { return s[i] }
 
-// allocCompleteGraph is an explicit complete graph: semantically the same
-// medium as the resolver's nil-graph fast path, but forcing graph-mode
-// resolution, so swapping between it and nil exercises SetGraph without
-// changing any result.
-type allocCompleteGraph struct {
-	adj [][]int
-}
-
-func newAllocCompleteGraph(n int) *allocCompleteGraph {
-	g := &allocCompleteGraph{adj: make([][]int, n)}
-	for i := range g.adj {
-		for j := 0; j < n; j++ {
-			if j != i {
-				g.adj[i] = append(g.adj[i], j)
-			}
-		}
-	}
-	return g
-}
-
-func (g *allocCompleteGraph) N() int                { return len(g.adj) }
-func (g *allocCompleteGraph) Neighbors(i int) []int { return g.adj[i] }
-
 // allocGrid is multihop.Grid re-implemented without the import cycle
 // (internal/multihop imports this package): the w×h grid with
 // 4-neighborhoods, adjacency lists ascending.
@@ -299,10 +276,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 					// Warm-up: activate everyone and let every growable buffer
 					// (active list, touched/listener/pending lists, the round
 					// record) reach its working capacity.
-					var complete *allocCompleteGraph
+					// An explicit complete graph forces graph-mode resolution
+					// without changing any result. Held as an interface, so
+					// the per-round SetGraph converts nothing.
+					var complete medium.Graph
 					swap := path.churn && !path.graph
 					if swap {
-						complete = newAllocCompleteGraph(n)
+						complete = NewClique(n)
 					}
 					r := uint64(0)
 					for ; r < 64; r++ {

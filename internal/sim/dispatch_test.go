@@ -128,7 +128,7 @@ type dispatchPath struct {
 func (p dispatchPath) run(cfg *Config) (*Result, error) {
 	cfg.NoBatch = p.noBatch
 	if p.graph {
-		return RunGraph(cfg, newAllocCompleteGraph(cfg.Schedule.N()), nil)
+		return RunGraph(cfg, NewClique(cfg.Schedule.N()), nil)
 	}
 	return Run(cfg)
 }

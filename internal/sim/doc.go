@@ -20,9 +20,11 @@
 // graph (a nil medium.Graph), the single-hop model above. RunGraph runs
 // the same loop on an explicit communication graph, where a listener hears
 // only its neighbors, with an optional per-round graph hook for dynamic
-// topologies; it is the entry point of the multi-hop drivers in
-// internal/multihop. Work only the single-hop model needs (per-frequency
-// classification, Clear and FirstClear) runs only on the complete graph.
+// topologies. It is the entry point of the three drivers over the core:
+// internal/multihop, and internal/rendezvous and internal/unslotted on
+// the complete graph with explicit neighbor lists (Clique). Work only the
+// single-hop model needs (per-frequency classification, Clear and
+// FirstClear) runs only on the complete graph of Run.
 //
 // A round touches each awake node's state once, in the step pass: batch
 // cohorts (BatchAgent) and the per-node fallback both store the node's

@@ -19,15 +19,17 @@ var totalNodeRounds atomic.Uint64
 
 // TotalNodeRounds returns the process-wide count of active node-rounds
 // executed by completed Run calls, which may run on many goroutines at
-// once (parallel trials). Graph runs (RunGraph) are not included; their
-// drivers keep their own count. The count is deterministic for a
-// deterministic workload: it never depends on scheduling or parallelism.
+// once (parallel trials). Graph runs (RunGraph) are not included; a
+// driver over the core keeps its own count, if any. The count is
+// deterministic for a deterministic workload: it never depends on
+// scheduling or parallelism.
 func TotalNodeRounds() uint64 { return totalNodeRounds.Load() }
 
 // engine is the one round core behind every driver: Run on the complete
-// graph, and RunGraph (multihop's drivers) on an explicit communication
-// graph. It runs serially on the calling goroutine; parallelism lives one
-// level up, across independent trials (internal/pool).
+// graph, and RunGraph (the multihop, rendezvous and unslotted drivers) on
+// an explicit communication graph. It runs serially on the calling
+// goroutine; parallelism lives one level up, across independent trials
+// (internal/pool).
 type engine struct {
 	cfg *Config
 	n   int
@@ -570,20 +572,47 @@ func countNodeRounds(res *Result, err error) (*Result, error) {
 // over-budget disruption) panic, as they are programming errors.
 func Run(cfg *Config) (*Result, error) { return countNodeRounds(run(cfg, nil, nil)) }
 
+// Clique is the complete graph over its nodes with every neighbor list
+// explicit. RunGraph on a Clique delivers what Run delivers on the same
+// Config, but on the graph path: it consults a ListenerDisrupter, and the
+// run adds nothing to TotalNodeRounds.
+type Clique [][]int
+
+// NewClique returns the complete graph over n nodes.
+func NewClique(n int) Clique {
+	c := make(Clique, n)
+	for i := range c {
+		c[i] = make([]int, 0, n-1)
+		for j := 0; j < n; j++ {
+			if j != i {
+				c[i] = append(c[i], j)
+			}
+		}
+	}
+	return c
+}
+
+// N returns the node count.
+func (c Clique) N() int { return len(c) }
+
+// Neighbors returns every node but i, in ascending order.
+func (c Clique) Neighbors(i int) []int { return c[i] }
+
 // RunGraph executes Run's round loop on communication graph g instead of
 // the complete graph: a listener on frequency f receives iff exactly one
 // of its neighbors in g transmits on f, f is not disrupted, and a
 // ListenerDisrupter adversary does not disrupt f for that listener. It is
-// the entry point of both drivers over the core: multihop, and rendezvous
-// on the complete graph over its parties. graphAt, if non-nil, returns
-// each round's graph before its activations; it must not return nil, and
-// may return g itself mutated in place.
+// the entry point of the three drivers over the core: multihop, and, on a
+// Clique, rendezvous over its parties and unslotted over half-slots.
+// graphAt, if non-nil, returns each round's graph before its
+// activations; it must not return nil, and may return g itself mutated
+// in place.
 //
 // Stats.Collisions counts (receiver, round) pairs with two or more
 // transmitting neighbors; FirstClear, Clear, DisruptedLosses, and
 // ClearBroadcasts stay zero. Round records and History.Last follow the
 // same rule as Run's (see HistoryBlind), and TotalNodeRounds is not
-// updated: each driver keeps its own count.
+// updated: a driver keeps its own count, if any.
 func RunGraph(cfg *Config, g medium.Graph, graphAt func(r uint64) medium.Graph) (*Result, error) {
 	switch {
 	case g == nil:

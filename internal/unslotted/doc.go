@@ -11,10 +11,21 @@
 // would have been received in the slotted model is received here too —
 // at twice the slot cost.
 //
-// This package provides an engine with exactly those semantics: nodes have
-// arbitrary phase parities, the adversary jams up to t frequencies per
-// half-slot, and unmodified sim.Agent protocols run on top. A test
-// verifies that with all phases equal the engine reproduces the slotted
-// semantics, and the integration tests show the Trapdoor Protocol
-// synchronizing across phase-shifted nodes unchanged.
+// This package is a driver over the sim round core with exactly those
+// semantics: nodes have arbitrary phase parities, the adversary jams up
+// to t frequencies per half-slot, and unmodified sim.Agent protocols run
+// on top. Run makes one sim.RunGraph call on the complete graph
+// (sim.Clique), one core round per half-slot; a wrapper agent steps the
+// slotted agent on odd local half-slots, repeats its action on even
+// ones, and hands it the round's first reception when the next round
+// starts. A test verifies that with all phases equal the driver
+// reproduces the slotted semantics, and the integration tests show the
+// Trapdoor Protocol synchronizing across phase-shifted nodes unchanged.
+//
+// The adversary sees the core's History in half-slots: Completed and
+// Activated count half-slots, and an adversary that is not
+// sim.HistoryBlind gets the previous half-slot's record as History.Last.
+// A node choosing a frequency outside [1..F], or an adversary exceeding
+// its budget, panics with the core's "sim:" message, and the core
+// validates F and T. Unslotted runs add to no node-round counter.
 package unslotted

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"wsync/internal/freqset"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
@@ -35,8 +34,8 @@ type Config struct {
 	Adversary sim.Adversary
 	// MaxRounds bounds the run in protocol rounds (0 = sim default).
 	MaxRounds uint64
-	// StopWhenAllSynced ends the run once every node reports a non-⊥
-	// output (default behavior; set RunToMax to disable).
+	// RunToMax disables the default stop rule, which ends the run once
+	// every node reports a non-⊥ output.
 	RunToMax bool
 }
 
@@ -68,221 +67,170 @@ func RandomPhases(n int, seed uint64) func(i int) int {
 	return func(i int) int { return phases[i] }
 }
 
-func (c *Config) validate() error {
-	switch {
-	case c.F < 1:
-		return fmt.Errorf("unslotted: F = %d", c.F)
-	case c.T < 0 || c.T >= c.F:
-		return fmt.Errorf("unslotted: T = %d out of [0, F)", c.T)
-	case c.N < 1:
-		return errors.New("unslotted: N < 1")
-	case c.NewAgent == nil:
-		return errors.New("unslotted: NewAgent required")
-	}
-	return nil
-}
-
-// nodeState is the engine's per-node bookkeeping.
-type nodeState struct {
-	agent      sim.Agent
-	phase      uint64
-	activation uint64 // protocol round of activation
-	active     bool
-
-	action sim.Action // current round's action (spans two half-slots)
-	midway bool       // true during the second half-slot of a round
-	got    bool       // received something this round already
-	gotMsg msg.Message
-	local  uint64 // current local protocol round
-	synced bool
-	syncAt uint64
-}
-
-// Run executes the unslotted simulation.
+// Run executes the unslotted simulation on sim.RunGraph over the complete
+// graph, one core round per half-slot (see the package doc). The core
+// validates F and T.
 func Run(c *Config) (*Result, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
+	switch {
+	case c.N < 1:
+		return nil, errors.New("unslotted: N < 1")
+	case c.NewAgent == nil:
+		return nil, errors.New("unslotted: NewAgent required")
 	}
 	maxRounds := c.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = sim.DefaultMaxRounds
 	}
-
-	master := rng.New(c.Seed)
-	nodes := make([]nodeState, c.N)
-	for i := range nodes {
-		nodes[i].activation = 1
+	d := &driver{
+		cfg:   c,
+		acts:  make([]uint64, c.N),
+		nodes: make([]*node, c.N),
+		res:   Result{SyncRound: make([]uint64, c.N)},
+	}
+	// Node i's protocol round a covers half-slots [2a−1+φ, 2a+φ], so it
+	// wakes in half-slot 2a+φ−1.
+	wakes := make([]uint64, c.N)
+	for i := range wakes {
+		a, phase := uint64(1), 0
 		if c.ActivationRound != nil {
-			nodes[i].activation = c.ActivationRound(i)
-			if nodes[i].activation < 1 {
-				return nil, fmt.Errorf("unslotted: node %d activation %d", i, nodes[i].activation)
+			if a = c.ActivationRound(i); a < 1 {
+				return nil, fmt.Errorf("unslotted: node %d activation %d", i, a)
 			}
 		}
 		if c.Phase != nil {
-			p := c.Phase(i)
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("unslotted: node %d phase %d not in {0,1}", i, p)
+			if phase = c.Phase(i); phase < 0 || phase > 1 {
+				return nil, fmt.Errorf("unslotted: node %d phase %d not in {0,1}", i, phase)
 			}
-			nodes[i].phase = uint64(p)
 		}
+		d.acts[i], wakes[i] = a, 2*a+uint64(phase)-1
 	}
-
-	res := &Result{SyncRound: make([]uint64, c.N)}
-	txCount := make([]int, c.F+1)
-	txFrom := make([]int, c.F+1)
-	empty := freqset.New(c.F)
-	hist := &sim.History{F: c.F, Activated: make([]uint64, c.N), Received: make([]bool, c.N)}
-
-	// Half-slot loop. Node i's protocol round k (1-based local) starts at
-	// half-slot 2*(activation+k-1) + phase - 1 in 1-based global
-	// half-slots.
-	limit := 2*maxRounds + 2
-	for hs := uint64(1); hs <= limit; hs++ {
-		// Phase A: start rounds / refresh actions.
-		for i := range nodes {
-			n := &nodes[i]
-			// Global protocol round r covers half-slots [2r-1+φ, 2r+φ].
-			// Node starts its local round when (hs - φ) is odd.
-			if (hs-n.phase)%2 == 1 {
-				globalRound := (hs - n.phase + 1) / 2
-				if !n.active {
-					if globalRound < n.activation {
-						continue
-					}
-					if globalRound == n.activation {
-						n.active = true
-						n.agent = c.NewAgent(sim.NodeID(i), globalRound, master.Split(uint64(i)))
-						hist.Activated[i] = globalRound
-					}
-				}
-				if n.active {
-					// Deliver the previous round's reception before
-					// starting the new round.
-					n.finishRound()
-					n.local = globalRound - n.activation + 1
-					n.action = n.agent.Step(n.local)
-					if n.action.Freq < 1 || n.action.Freq > c.F {
-						panic(fmt.Sprintf("unslotted: node %d chose frequency %d", i, n.action.Freq))
-					}
-					n.midway = false
-					n.got = false
-				}
-			} else if n.active {
-				n.midway = true
-			}
-		}
-
-		// Adversary jams this half-slot.
-		disrupted := empty
-		if c.Adversary != nil {
-			if s := c.Adversary.Disrupt(hs, hist); s != nil {
-				if s.Len() > c.T {
-					panic(fmt.Sprintf("unslotted: adversary jammed %d > %d", s.Len(), c.T))
-				}
-				disrupted = s
-			}
-		}
-
-		// Phase B: resolve the medium for this half-slot.
-		for f := 1; f <= c.F; f++ {
-			txCount[f] = 0
-		}
-		for i := range nodes {
-			n := &nodes[i]
-			if n.active && n.action.Transmit {
-				txCount[n.action.Freq]++
-				txFrom[n.action.Freq] = i
-			}
-		}
-		for i := range nodes {
-			n := &nodes[i]
-			if !n.active || n.action.Transmit || n.got {
-				continue
-			}
-			f := n.action.Freq
-			if txCount[f] == 1 && !disrupted.Contains(f) && txFrom[f] != i {
-				n.got = true
-				n.gotMsg = nodes[txFrom[f]].action.Msg
-				hist.Received[i] = true
-				res.Deliveries++
-			}
-		}
-		hist.Completed = hs
-
-		// Check termination at even half-slots (round boundaries for
-		// phase-0 nodes; close enough for bookkeeping).
-		if hs%2 == 0 {
-			res.Rounds = hs / 2
-			if !c.RunToMax && allSynced(nodes, res) {
-				finish(nodes, res)
-				return res, nil
-			}
-		}
+	s, err := sim.RunGraph(&sim.Config{
+		F:              c.F,
+		T:              c.T,
+		Seed:           c.Seed,
+		NewAgent:       d.newNode,
+		Schedule:       sim.Explicit{Rounds: wakes},
+		Adversary:      c.Adversary,
+		MaxRounds:      2*maxRounds + 2,
+		StopWhen:       d.stop,
+		RunToMaxRounds: true,
+	}, sim.NewClique(c.N), nil)
+	if err != nil {
+		return nil, err
 	}
-	res.HitMaxRounds = true
-	finish(nodes, res)
-	return res, nil
+	d.res.HitMaxRounds = s.HitMaxRounds
+	d.finish()
+	return &d.res, nil
 }
 
-// finishRound delivers the pending reception and records outputs at the
-// boundary between two of the node's rounds.
-func (n *nodeState) finishRound() {
-	if n.agent == nil || n.local == 0 {
-		return
-	}
-	if n.got {
-		n.agent.Deliver(n.gotMsg)
-		n.got = false
-	}
-	if out := n.agent.Output(); out.Synced && !n.synced {
-		n.synced = true
-		n.syncAt = n.local
-	}
+// driver is one run's state; its nodes are the core's agents, and all of
+// it runs on the core's goroutine.
+type driver struct {
+	cfg   *Config
+	acts  []uint64 // per node: activation in protocol rounds
+	nodes []*node  // nil until the node wakes
+	res   Result
 }
 
-// allSynced polls outputs mid-run; a node is synced once its agent reports
-// a non-⊥ output.
-func allSynced(nodes []nodeState, res *Result) bool {
-	for i := range nodes {
-		n := &nodes[i]
-		if !n.active {
+// stop runs after every half-slot. At even half-slots it counts protocol
+// rounds and, unless RunToMax is set, ends the run once every node is
+// awake and synced, polling the nodes in ID order.
+func (d *driver) stop(h *sim.History) bool {
+	if h.Completed%2 != 0 {
+		return false
+	}
+	d.res.Rounds = h.Completed / 2
+	if d.cfg.RunToMax {
+		return false
+	}
+	for _, n := range d.nodes {
+		if n == nil || !n.poll() {
 			return false
-		}
-		if !n.synced {
-			if out := n.agent.Output(); out.Synced {
-				n.synced = true
-				n.syncAt = n.local
-			} else {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// finish finalizes the result summary.
-func finish(nodes []nodeState, res *Result) {
-	res.AllSynced = true
-	for i := range nodes {
-		n := &nodes[i]
-		if n.agent != nil && n.got {
-			n.agent.Deliver(n.gotMsg)
-			n.got = false
+// finish delivers what is still pending, polls every node a last time and
+// counts leaders.
+func (d *driver) finish() {
+	d.res.AllSynced = true
+	for i, n := range d.nodes {
+		if n == nil {
+			d.res.AllSynced = false
+			continue
 		}
-		if n.agent != nil && !n.synced {
-			if out := n.agent.Output(); out.Synced {
-				n.synced = true
-				n.syncAt = n.local
-			}
-		}
-		if !n.synced {
-			res.AllSynced = false
-		}
-		res.SyncRound[i] = n.syncAt
-		if n.agent != nil {
-			if lr, ok := n.agent.(sim.LeaderReporter); ok && lr.IsLeader() {
-				res.Leaders++
-			}
+		n.finishRound()
+		d.res.AllSynced = d.res.AllSynced && n.synced
+		d.res.SyncRound[i] = n.syncAt
+		if lr, ok := n.agent.(sim.LeaderReporter); ok && lr.IsLeader() {
+			d.res.Leaders++
 		}
 	}
+}
+
+// node is one slotted agent as a core agent stepped every half-slot: each
+// protocol round spans two of its local half-slots and sends the same
+// action in both.
+type node struct {
+	d      *driver
+	agent  sim.Agent
+	act    sim.Action // this protocol round's action
+	local  uint64     // this protocol round, local to the node
+	got    bool       // received in this protocol round already
+	gotMsg msg.Message
+	synced bool
+	syncAt uint64
+}
+
+// newNode hands Config.NewAgent the node's protocol activation round, not
+// the half-slot the core wakes it in.
+func (d *driver) newNode(id sim.NodeID, _ uint64, r *rng.Rand) sim.Agent {
+	n := &node{d: d, agent: d.cfg.NewAgent(id, d.acts[id], r)}
+	d.nodes[id] = n
+	return n
+}
+
+// Step starts a protocol round on odd local half-slots, after handing the
+// agent the previous round's reception, and repeats its action on even
+// ones.
+func (n *node) Step(hs uint64) sim.Action {
+	if hs%2 == 1 {
+		if n.local > 0 {
+			n.finishRound()
+		}
+		n.local = (hs + 1) / 2
+		n.act = n.agent.Step(n.local)
+	}
+	return n.act
+}
+
+// Deliver keeps the round's first reception for the agent.
+func (n *node) Deliver(m msg.Message) {
+	if !n.got {
+		n.got, n.gotMsg = true, m
+		n.d.res.Deliveries++
+	}
+}
+
+// Output is always ⊥: the driver polls the agent's output itself.
+func (n *node) Output() sim.Output { return sim.Output{} }
+
+// finishRound delivers the round's pending reception and polls the
+// agent's output.
+func (n *node) finishRound() {
+	if n.got {
+		n.agent.Deliver(n.gotMsg)
+		n.got = false
+	}
+	n.poll()
+}
+
+// poll records the local round at which the agent first reports a non-⊥
+// output, and reports whether it has.
+func (n *node) poll() bool {
+	if !n.synced && n.agent.Output().Synced {
+		n.synced, n.syncAt = true, n.local
+	}
+	return n.synced
 }

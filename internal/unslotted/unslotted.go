@@ -9,9 +9,9 @@ import (
 	"wsync/internal/sim"
 )
 
-// Config describes an unslotted simulation. Time advances in half-slots;
-// a node's protocol round k occupies half-slots [2k+φ, 2k+1+φ] of global
-// time, where φ ∈ {0, 1} is the node's phase.
+// Config describes an unslotted simulation. Time advances in half-slots
+// (1-based); global protocol round k >= 1 occupies half-slots
+// [2k−1+φ, 2k+φ] of a node whose phase is φ ∈ {0, 1}.
 type Config struct {
 	// F is the number of frequencies; T the adversary budget per
 	// half-slot.
@@ -87,8 +87,7 @@ func Run(c *Config) (*Result, error) {
 		nodes: make([]*node, c.N),
 		res:   Result{SyncRound: make([]uint64, c.N)},
 	}
-	// Node i's protocol round a covers half-slots [2a−1+φ, 2a+φ], so it
-	// wakes in half-slot 2a+φ−1.
+	// A node activating in protocol round a wakes in half-slot 2a−1+φ.
 	wakes := make([]uint64, c.N)
 	for i := range wakes {
 		a, phase := uint64(1), 0
@@ -102,7 +101,7 @@ func Run(c *Config) (*Result, error) {
 				return nil, fmt.Errorf("unslotted: node %d phase %d not in {0,1}", i, phase)
 			}
 		}
-		d.acts[i], wakes[i] = a, 2*a+uint64(phase)-1
+		d.acts[i], wakes[i] = a, 2*a-1+uint64(phase)
 	}
 	s, err := sim.RunGraph(&sim.Config{
 		F:              c.F,

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick     = fs.Bool("quick", false, "smallest grids (smoke test)")
 		full      = fs.Bool("full", false, "large grids: N up to 16384, F up to 128, multihop RGGs up to 4096, rendezvous up to F=128")
 		parallel  = fs.Int("parallel", 0, "trial-runner worker goroutines (0 = one per CPU)")
-		noBatch   = fs.Bool("nobatch", false, "disable devirtualized batch stepping (per-node dispatch; results are bit-identical, only wall time moves)")
+		noBatch   = fs.Bool("nobatch", false, "disable devirtualized batch stepping in the X10 dispatch experiments, the only ones that read it (per-node dispatch; results are bit-identical, only wall time moves)")
 		format    = fs.String("format", "text", "output format: text, markdown, csv, json")
 		jsonOut   = fs.Bool("json", false, "shorthand for -format json")
 		outDir    = fs.String("out", "", "write per-experiment files to this directory instead of stdout")

@@ -16,4 +16,13 @@
 // a round's cost independent of F and N. Each sweep point's Monte-Carlo
 // trials are fanned across worker goroutines by runner.go, with results
 // bit-identical at every parallelism level.
+//
+// Every engine run builds its Trapdoor, Good Samaritan, Wakeup and
+// round-robin nodes from one arena of its own (trapdoor.Arena,
+// samaritan.Arena, the baseline arenas), built inside the trial's closure:
+// arena-built nodes step as one devirtualized batch cohort, and concurrent
+// trials never share an arena. Nodes that another agent wraps (X3's
+// crashing leader, X5's unslotted half, X6's replicas), the single-
+// frequency baseline, the multihop relays and the rendezvous parties step
+// one at a time.
 package harness

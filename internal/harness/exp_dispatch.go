@@ -6,7 +6,6 @@ import (
 
 	"wsync/internal/adversary"
 	"wsync/internal/baseline"
-	"wsync/internal/rng"
 	"wsync/internal/samaritan"
 	"wsync/internal/sim"
 	"wsync/internal/trapdoor"
@@ -37,7 +36,7 @@ func dispatchLabel(o Options) string {
 // sweep-point tags on purpose (paired protocol comparison): per row, every
 // protocol sees the same engine seeds and the same adversary stream.
 func runDispatchSweep(o Options, id, title string,
-	mkArena func(n int) func(sim.NodeID, uint64, *rng.Rand) sim.Agent) (*Table, error) {
+	mkArena agentMaker) (*Table, error) {
 	const f, tJam = 128, 16
 	tbl := &Table{
 		ID:      id,
@@ -100,7 +99,7 @@ func runDispatchSweep(o Options, id, title string,
 // runX10a measures dispatch throughput for the Trapdoor protocol.
 func runX10a(o Options) (*Table, error) {
 	return runDispatchSweep(o, "X10a", "Dispatch throughput: Trapdoor, dense band (X10)",
-		func(n int) func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+		func(n int) newAgentFunc {
 			return trapdoor.MustNewArena(trapdoor.Params{N: n, F: 128, T: 16}, n).NewAgent
 		})
 }
@@ -108,7 +107,7 @@ func runX10a(o Options) (*Table, error) {
 // runX10b measures dispatch throughput for the Good Samaritan protocol.
 func runX10b(o Options) (*Table, error) {
 	return runDispatchSweep(o, "X10b", "Dispatch throughput: Good Samaritan, dense band (X10)",
-		func(n int) func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+		func(n int) newAgentFunc {
 			return samaritan.MustNewArena(samaritan.Params{N: n, F: 128, T: 16}, n).NewAgent
 		})
 }
@@ -118,7 +117,7 @@ func runX10b(o Options) (*Table, error) {
 // dispatch overhead and the batch/virtual ratio is widest here.
 func runX10c(o Options) (*Table, error) {
 	return runDispatchSweep(o, "X10c", "Dispatch throughput: round-robin baseline, dense band (X10)",
-		func(n int) func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+		func(n int) newAgentFunc {
 			return baseline.NewRoundRobinArena(n, 128, n).NewAgent
 		})
 }

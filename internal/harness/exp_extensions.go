@@ -310,23 +310,17 @@ func runX8(o Options) (*Table, error) {
 	if o.quick() {
 		names = []string{"none", "fixed", "reactive"}
 	}
-	tp := trapdoor.Params{N: nBound, F: f, T: tJam}
-	for _, name := range names {
-		name := name
-		protos := []struct {
-			name string
-			mk   func(r *rng.Rand) sim.Agent
-		}{{name, func(r *rng.Rand) sim.Agent { return trapdoor.MustNew(tp, r) }}}
-		err := compareProtocols(o, tbl, key, f, tJam, active,
+	for _, proto := range x8Protocols(trapdoor.Params{N: nBound, F: f, T: tJam}, names) {
+		err := compareProtocols(o, tbl, key, f, tJam,
 			sim.Staggered{Count: active, Gap: 5},
 			func(seed uint64) sim.Adversary {
-				adv, err := adversary.New(name, f, tJam, seed+17)
+				adv, err := adversary.New(proto.name, f, tJam, seed+17)
 				if err != nil {
 					panic(err)
 				}
 				return adv
 			},
-			protos, maxRounds)
+			[]protocol{proto}, maxRounds)
 		if err != nil {
 			return nil, err
 		}
@@ -336,4 +330,13 @@ func runX8(o Options) (*Table, error) {
 		"reactive targets last round's transmitters; stalker targets last round's listeners",
 		"the guarantee is worst-case: every strategy must leave the protocol live and safe")
 	return tbl, nil
+}
+
+// x8Protocols is the X8 gallery: one Trapdoor row per named adversary.
+func x8Protocols(tp trapdoor.Params, names []string) []protocol {
+	protos := make([]protocol, len(names))
+	for i, name := range names {
+		protos[i] = protocol{name, trapdoorAgents(tp)}
+	}
+	return protos
 }

@@ -35,41 +35,36 @@ func (ps *protoStats) addRow(tbl *Table, name string) {
 	)
 }
 
-// compareProtocols runs each named agent factory under the same
-// environment and collects the comparison statistics. key selects the
-// sweep-point value under the shared ptCompare tag: the historical grids
-// all pass 0 (deliberately sharing trial randomness across X2/X4/X8
-// rows), new grids pass a distinguishing value for fresh streams.
-func compareProtocols(o Options, tbl *Table, key uint64, f, tJam, active int,
+// protocol is one row of a paired protocol comparison: its name and the
+// maker of one trial's agents.
+type protocol struct {
+	name string
+	mk   agentMaker
+}
+
+// compareProtocols runs each protocol under the same environment and
+// collects the comparison statistics. key selects the sweep-point value
+// under the shared ptCompare tag: the historical grids all pass 0
+// (deliberately sharing trial randomness across X2/X4/X8 rows), new grids
+// pass a distinguishing value for fresh streams.
+func compareProtocols(o Options, tbl *Table, key uint64, f, tJam int,
 	sched sim.Schedule, mkAdv func(seed uint64) sim.Adversary,
-	protos []struct {
-		name string
-		mk   func(r *rng.Rand) sim.Agent
-	}, maxRounds uint64) error {
+	protos []protocol, maxRounds uint64) error {
 	for _, proto := range protos {
 		ps := protoStats{}
 		results, err := o.parallelRuns(o.trials(), func(i int) (runResult, error) {
 			// Every protocol sees the same per-trial seed so the comparison
 			// holds the randomness fixed across rows.
 			seed := o.TrialSeed(pointKey(ptCompare, key), i)
-			check := props.NewChecker(active)
-			cfg := &sim.Config{
-				F:    f,
-				T:    tJam,
-				Seed: seed,
-				NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-					return proto.mk(r)
-				},
+			return checkedRun(&sim.Config{
+				F:         f,
+				T:         tJam,
+				Seed:      seed,
+				NewAgent:  proto.mk(sched.N()),
 				Schedule:  sched,
 				Adversary: mkAdv(seed),
 				MaxRounds: maxRounds,
-				Observers: []sim.Observer{check},
-			}
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return runResult{}, err
-			}
-			return runResult{res: res, violations: check.Count(), leaders: res.Leaders}, nil
+			})
 		})
 		if err != nil {
 			return err
@@ -101,25 +96,13 @@ func runX2(o Options) (*Table, error) {
 		Columns: []string{"protocol", "synced", "median rounds", "multi-leader runs", "violation runs"},
 	}
 	const nBound, f, tJam, active = 64, 8, 2, 8
-	tp := trapdoor.Params{N: nBound, F: f, T: tJam}
-	sp := samaritan.Params{N: nBound, F: f, T: tJam}
-	protos := []struct {
-		name string
-		mk   func(r *rng.Rand) sim.Agent
-	}{
-		{"trapdoor", func(r *rng.Rand) sim.Agent { return trapdoor.MustNew(tp, r) }},
-		{"samaritan", func(r *rng.Rand) sim.Agent { return samaritan.MustNew(sp, r) }},
-		{"wakeup (no competition)", func(r *rng.Rand) sim.Agent { return baseline.NewWakeup(nBound, f, r) }},
-		{"round-robin (deterministic)", func(r *rng.Rand) sim.Agent { return baseline.NewRoundRobin(nBound, f, r) }},
-		{"single-frequency", func(r *rng.Rand) sim.Agent { return baseline.NewSingleFreq(nBound, r) }},
-	}
 	// Staggered activation: devices that self-commit at different ages
 	// hold different numberings, so the baselines' agreement failures are
 	// observable (with simultaneous starts their wrong outputs coincide).
-	err := compareProtocols(o, tbl, 0, f, tJam, active,
+	err := compareProtocols(o, tbl, 0, f, tJam,
 		sim.Staggered{Count: active, Gap: 3},
 		func(seed uint64) sim.Adversary { return adversary.NewPrefix(f, tJam) },
-		protos, 1<<21)
+		x2Protocols(nBound, f, tJam), 1<<21)
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +113,21 @@ func runX2(o Options) (*Table, error) {
 		"single-frequency cannot communicate at all while its channel is jammed: every node strands on its own numbering",
 		"the paper's protocols are the only ones that are both live and safe")
 	return tbl, nil
+}
+
+// x2Protocols is X2's table: the paper's protocols and the baselines for a
+// system of at most nBound nodes on f frequencies with budget tJam. Every
+// row but single-frequency, which has no arena, batch-steps.
+func x2Protocols(nBound, f, tJam int) []protocol {
+	return []protocol{
+		{"trapdoor", trapdoorAgents(trapdoor.Params{N: nBound, F: f, T: tJam})},
+		{"samaritan", samaritanAgents(samaritan.Params{N: nBound, F: f, T: tJam})},
+		{"wakeup (no competition)", func(n int) newAgentFunc { return baseline.NewWakeupArena(nBound, f, n).NewAgent }},
+		{"round-robin (deterministic)", func(n int) newAgentFunc { return baseline.NewRoundRobinArena(nBound, f, n).NewAgent }},
+		{"single-frequency", func(int) newAgentFunc {
+			return func(_ sim.NodeID, _ uint64, r *rng.Rand) sim.Agent { return baseline.NewSingleFreq(nBound, r) }
+		}},
+	}
 }
 
 // funcObserver adapts a closure to sim.Observer.
@@ -162,6 +160,9 @@ func runX3(o Options) (*Table, error) {
 	var reelect []float64
 	var restarts []float64
 	for i := 0; i < runs; i++ {
+		// The survivors batch-step from the arena; node 0 steps alone
+		// behind its crash wrapper.
+		arena := trapdoor.MustNewArena(p, active)
 		nodes := make([]*trapdoor.Node, active)
 		var reelectedAt uint64
 		check := props.NewChecker(active)
@@ -181,7 +182,7 @@ func runX3(o Options) (*Table, error) {
 			T:    tJam,
 			Seed: o.TrialSeed(pointKey(ptX3, 0), i),
 			NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-				n := trapdoor.MustNew(p, r)
+				n := arena.NewAgent(id, activation, r).(*trapdoor.Node)
 				nodes[id] = n
 				if id == 0 {
 					// Node 0 is activated first (ties by id): it wins the
@@ -238,27 +239,10 @@ func runX4(o Options) (*Table, error) {
 		Columns: []string{"variant", "synced", "median rounds", "multi-leader runs", "violation runs"},
 	}
 	const nBound, f, tJam, active = 64, 8, 2, 8
-	tdProtos := []struct {
-		name string
-		mk   func(r *rng.Rand) sim.Agent
-	}{
-		{"trapdoor (paper)", func(r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(trapdoor.Params{N: nBound, F: f, T: tJam}, r)
-		}},
-		{"trapdoor, no knockout", func(r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(trapdoor.Params{N: nBound, F: f, T: tJam, AblationNoKnockout: true}, r)
-		}},
-		{"trapdoor, CEpoch=1 (short epochs)", func(r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(trapdoor.Params{N: nBound, F: f, T: tJam, CEpoch: 1, CFinal: 1}, r)
-		}},
-		{"trapdoor, CEpoch=12 (long epochs)", func(r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(trapdoor.Params{N: nBound, F: f, T: tJam, CEpoch: 12, CFinal: 6}, r)
-		}},
-	}
-	err := compareProtocols(o, tbl, 0, f, tJam, active,
+	err := compareProtocols(o, tbl, 0, f, tJam,
 		sim.Staggered{Count: active, Gap: 3},
 		func(seed uint64) sim.Adversary { return adversary.NewPrefix(f, tJam) },
-		tdProtos, 1<<21)
+		x4TrapdoorProtocols(nBound, f, tJam), 1<<21)
 	if err != nil {
 		return nil, err
 	}
@@ -266,21 +250,10 @@ func runX4(o Options) (*Table, error) {
 	// Samaritan-help ablation in the good case: without reports, every
 	// execution must ride the slow fallback.
 	const gsN, gsF, gsT, gsActive = 16, 16, 8, 4
-	gsProtos := []struct {
-		name string
-		mk   func(r *rng.Rand) sim.Agent
-	}{
-		{"samaritan (paper), t'=1", func(r *rng.Rand) sim.Agent {
-			return samaritan.MustNew(samaritan.Params{N: gsN, F: gsF, T: gsT}, r)
-		}},
-		{"samaritan, no help, t'=1", func(r *rng.Rand) sim.Agent {
-			return samaritan.MustNew(samaritan.Params{N: gsN, F: gsF, T: gsT, AblationNoHelp: true}, r)
-		}},
-	}
-	err = compareProtocols(o, tbl, 0, gsF, gsT, gsActive,
+	err = compareProtocols(o, tbl, 0, gsF, gsT,
 		sim.Simultaneous{Count: gsActive},
 		func(seed uint64) sim.Adversary { return adversary.NewLowPrefix(gsF, 1) },
-		gsProtos, 1<<23)
+		x4SamaritanProtocols(gsN, gsF, gsT), 1<<23)
 	if err != nil {
 		return nil, err
 	}
@@ -289,4 +262,24 @@ func runX4(o Options) (*Table, error) {
 		"short epochs are faster but raise the multi-leader rate; long epochs buy safety with time",
 		"no samaritan help → the optimistic portion can never elect: good executions pay the full fallback cost")
 	return tbl, nil
+}
+
+// x4TrapdoorProtocols is X4's Trapdoor half: the paper's protocol, its
+// knockout ablation and two epoch-length constants.
+func x4TrapdoorProtocols(nBound, f, tJam int) []protocol {
+	return []protocol{
+		{"trapdoor (paper)", trapdoorAgents(trapdoor.Params{N: nBound, F: f, T: tJam})},
+		{"trapdoor, no knockout", trapdoorAgents(trapdoor.Params{N: nBound, F: f, T: tJam, AblationNoKnockout: true})},
+		{"trapdoor, CEpoch=1 (short epochs)", trapdoorAgents(trapdoor.Params{N: nBound, F: f, T: tJam, CEpoch: 1, CFinal: 1})},
+		{"trapdoor, CEpoch=12 (long epochs)", trapdoorAgents(trapdoor.Params{N: nBound, F: f, T: tJam, CEpoch: 12, CFinal: 6})},
+	}
+}
+
+// x4SamaritanProtocols is X4's Good Samaritan half: the paper's protocol
+// and its no-help ablation.
+func x4SamaritanProtocols(nBound, f, tJam int) []protocol {
+	return []protocol{
+		{"samaritan (paper), t'=1", samaritanAgents(samaritan.Params{N: nBound, F: f, T: tJam})},
+		{"samaritan, no help, t'=1", samaritanAgents(samaritan.Params{N: nBound, F: f, T: tJam, AblationNoHelp: true})},
+	}
 }

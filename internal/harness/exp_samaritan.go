@@ -3,8 +3,6 @@ package harness
 import (
 	"wsync/internal/adversary"
 	"wsync/internal/lowerbound"
-	"wsync/internal/props"
-	"wsync/internal/rng"
 	"wsync/internal/samaritan"
 	"wsync/internal/sim"
 	"wsync/internal/stats"
@@ -12,26 +10,24 @@ import (
 )
 
 // samaritanRun executes one Good Samaritan simulation.
-func samaritanRun(p samaritan.Params, n int, sched sim.Schedule, adv sim.Adversary,
+func samaritanRun(p samaritan.Params, sched sim.Schedule, adv sim.Adversary,
 	seed uint64, maxRounds uint64) (runResult, error) {
-	check := props.NewChecker(n)
-	cfg := &sim.Config{
-		F:    p.F,
-		T:    p.T,
-		Seed: seed,
-		NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return samaritan.MustNew(p, r)
-		},
+	return checkedRun(samaritanConfig(p, sched, adv, seed, maxRounds))
+}
+
+// samaritanConfig is samaritanRun's engine run: the schedule's nodes,
+// built from one arena of their own.
+func samaritanConfig(p samaritan.Params, sched sim.Schedule, adv sim.Adversary,
+	seed uint64, maxRounds uint64) *sim.Config {
+	return &sim.Config{
+		F:         p.F,
+		T:         p.T,
+		Seed:      seed,
+		NewAgent:  samaritan.MustNewArena(p, sched.N()).NewAgent,
 		Schedule:  sched,
 		Adversary: adv,
 		MaxRounds: maxRounds,
-		Observers: []sim.Observer{check},
 	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return runResult{}, err
-	}
-	return runResult{res: res, violations: check.Count(), leaders: res.Leaders}, nil
 }
 
 // runT18a measures the Good Samaritan protocol's adaptive good-case
@@ -57,7 +53,7 @@ func runT18a(o Options) (*Table, error) {
 	var theories, medians []float64
 	for _, tp := range tPrimes {
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(p, active, sim.Simultaneous{Count: active},
+			rr, err := samaritanRun(p, sim.Simultaneous{Count: active},
 				adversary.NewLowPrefix(f, tp), o.TrialSeed(pointKey(ptT18a, uint64(tp)), i), 1<<22)
 			if err != nil {
 				return 0, err
@@ -108,7 +104,7 @@ func runT18b(o Options) (*Table, error) {
 		tBudget := f / 2
 		p := samaritan.Params{N: nBound, F: f, T: tBudget}
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(p, active,
+			rr, err := samaritanRun(p,
 				sim.Staggered{Count: active, Gap: p.EpochLen(1)},
 				adversary.NewRandom(f, tBudget, o.TrialSeed(pointKey(ptT18bAdversary, uint64(f)), i)),
 				o.TrialSeed(pointKey(ptT18bSim, uint64(f)), i), 1<<23)
@@ -173,7 +169,7 @@ func runX1(o Options) (*Table, error) {
 			return nil, err
 		}
 		gsSum, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(sp, active, sim.Simultaneous{Count: active},
+			rr, err := samaritanRun(sp, sim.Simultaneous{Count: active},
 				adversary.NewLowPrefix(f, prime), o.TrialSeed(pointKey(ptX1Samaritan, uint64(prime)), i), 1<<23)
 			if err != nil {
 				return 0, err

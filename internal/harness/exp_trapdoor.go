@@ -5,8 +5,6 @@ import (
 
 	"wsync/internal/adversary"
 	"wsync/internal/lowerbound"
-	"wsync/internal/props"
-	"wsync/internal/rng"
 	"wsync/internal/sim"
 	"wsync/internal/stats"
 	"wsync/internal/trapdoor"
@@ -15,24 +13,21 @@ import (
 // trapdoorRun executes one Trapdoor simulation and returns the maximum
 // per-node synchronization time plus correctness accounting.
 func trapdoorRun(p trapdoor.Params, n int, adv sim.Adversary, seed uint64, maxRounds uint64) (runResult, error) {
-	check := props.NewChecker(n)
-	cfg := &sim.Config{
-		F:    p.F,
-		T:    p.T,
-		Seed: seed,
-		NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(p, r)
-		},
+	return checkedRun(trapdoorConfig(p, n, adv, seed, maxRounds))
+}
+
+// trapdoorConfig is trapdoorRun's engine run: n Trapdoor nodes activated
+// together, built from one arena of their own.
+func trapdoorConfig(p trapdoor.Params, n int, adv sim.Adversary, seed uint64, maxRounds uint64) *sim.Config {
+	return &sim.Config{
+		F:         p.F,
+		T:         p.T,
+		Seed:      seed,
+		NewAgent:  trapdoor.MustNewArena(p, n).NewAgent,
 		Schedule:  sim.Simultaneous{Count: n},
 		Adversary: adv,
 		MaxRounds: maxRounds,
-		Observers: []sim.Observer{check},
 	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return runResult{}, err
-	}
-	return runResult{res: res, violations: check.Count(), leaders: res.Leaders}, nil
 }
 
 // runT10a sweeps N at fixed F, t: Trapdoor synchronization time should
@@ -202,6 +197,37 @@ func runT10c(o Options) (*Table, error) {
 	return tbl, nil
 }
 
+// l9Case is one L9 configuration: active staggered arrivals under a
+// participant bound, band and budget, with or without the knockout rule.
+type l9Case struct {
+	active, nBound, f, tJam int
+	noKnockout              bool
+}
+
+func (c l9Case) params() trapdoor.Params {
+	return trapdoor.Params{N: c.nBound, F: c.f, T: c.tJam, AblationNoKnockout: c.noKnockout}
+}
+
+// l9Config is one L9 engine run: active Trapdoor nodes from one arena of
+// their own, arriving staggered and run past the competition with their
+// broadcast weights probed into w.
+func l9Config(p trapdoor.Params, active int, seed uint64, w *WeightObserver) *sim.Config {
+	return &sim.Config{
+		F:        p.F,
+		T:        p.T,
+		Seed:     seed,
+		NewAgent: trapdoor.MustNewArena(p, active).NewAgent,
+		// Staggered arrival piles younger contenders onto older ones —
+		// the load pattern the lemma is about.
+		Schedule:       sim.Staggered{Count: active, Gap: 4},
+		Adversary:      adversary.NewPrefix(p.F, p.T),
+		MaxRounds:      p.TotalRounds() + uint64(active)*4 + 2000,
+		RunToMaxRounds: true,
+		Observers:      []sim.Observer{w},
+		ProbeWeights:   true,
+	}
+}
+
 // runL9 measures the broadcast weight W(r) over Trapdoor executions and
 // compares its maximum against the 6F' bound of Lemma 9. The knockout-off
 // ablation rows show that the bound is the knockout feedback loop at work,
@@ -213,10 +239,7 @@ func runL9(o Options) (*Table, error) {
 		Title:   "Broadcast weight self-regulation (Lemma 9)",
 		Columns: []string{"knockout", "n", "N", "F", "t", "F'", "max W(r)", "bound 6F'", "mean W(r)", "within bound"},
 	}
-	configs := []struct {
-		active, nBound, f, tJam int
-		noKnockout              bool
-	}{
+	configs := []l9Case{
 		{64, 64, 8, 2, false},
 		{64, 64, 8, 2, true},
 		{32, 32, 8, 3, false},
@@ -226,35 +249,29 @@ func runL9(o Options) (*Table, error) {
 	if o.quick() {
 		configs = configs[:2]
 	}
-	trials := 3
-	for _, c := range configs {
-		p := trapdoor.Params{N: c.nBound, F: c.f, T: c.tJam, AblationNoKnockout: c.noKnockout}
+	// All configs' trials go to the pool as one batch; the fold below
+	// walks them in (config, trial) order, so its float sums do not depend
+	// on scheduling.
+	const trials = 3
+	type weights struct{ max, mean float64 }
+	runs, err := mapTrials(o, len(configs)*trials, func(k int) (weights, error) {
+		c, trial := configs[k/trials], k%trials
+		w := &WeightObserver{}
+		seed := o.TrialSeed(pointKey(ptL9, uint64(c.active)<<16|uint64(c.f)<<8|uint64(c.tJam)<<1|boolBit(c.noKnockout)), trial)
+		if _, err := sim.Run(l9Config(c.params(), c.active, seed, w)); err != nil {
+			return weights{}, err
+		}
+		return weights{w.Max, w.MeanWeight()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci, c := range configs {
+		p := c.params()
 		maxW, meanW := 0.0, 0.0
-		for trial := 0; trial < trials; trial++ {
-			w := &WeightObserver{}
-			cfg := &sim.Config{
-				F:    p.F,
-				T:    p.T,
-				Seed: o.TrialSeed(pointKey(ptL9, uint64(c.active)<<16|uint64(c.f)<<8|uint64(c.tJam)<<1|boolBit(c.noKnockout)), trial),
-				NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-					return trapdoor.MustNew(p, r)
-				},
-				// Staggered arrival piles younger contenders onto older
-				// ones — the load pattern the lemma is about.
-				Schedule:       sim.Staggered{Count: c.active, Gap: 4},
-				Adversary:      adversary.NewPrefix(c.f, c.tJam),
-				MaxRounds:      p.TotalRounds() + uint64(c.active)*4 + 2000,
-				RunToMaxRounds: true,
-				Observers:      []sim.Observer{w},
-				ProbeWeights:   true,
-			}
-			if _, err := sim.Run(cfg); err != nil {
-				return nil, err
-			}
-			if w.Max > maxW {
-				maxW = w.Max
-			}
-			meanW += w.MeanWeight() / float64(trials)
+		for _, w := range runs[ci*trials : (ci+1)*trials] {
+			maxW = max(maxW, w.max)
+			meanW += w.mean / trials
 		}
 		bound := 6 * float64(p.FPrime())
 		within := "yes"

@@ -3,7 +3,11 @@ package harness
 import (
 	"fmt"
 
+	"wsync/internal/props"
+	"wsync/internal/rng"
+	"wsync/internal/samaritan"
 	"wsync/internal/sim"
+	"wsync/internal/trapdoor"
 )
 
 // Options tunes experiment size. The zero value means defaults.
@@ -26,12 +30,13 @@ type Options struct {
 	// sweep point's trials out across; 0 means one per CPU. Results are
 	// bit-identical at every parallelism level (see runner.go).
 	Parallelism int
-	// NoBatch disables the engines' devirtualized batch-stepping path,
-	// forcing per-node virtual dispatch (sim.Config.NoBatch). Simulation
-	// results are bit-identical either way; only wall time moves. The X10
-	// dispatch-throughput experiments record the mode in their tables so a
-	// benchdiff between a -nobatch report and a normal one reads as the
-	// devirtualization speedup.
+	// NoBatch disables the engines' devirtualized batch-stepping path in
+	// the X10 dispatch-throughput experiments, forcing per-node virtual
+	// dispatch there (sim.Config.NoBatch). Only X10 reads it: every other
+	// experiment batch-steps its arena-built nodes regardless. Simulation
+	// results are bit-identical either way; only wall time moves. X10
+	// records the mode in its tables so a benchdiff between a -nobatch
+	// report and a normal one reads as the devirtualization speedup.
 	NoBatch bool
 }
 
@@ -163,6 +168,36 @@ type runResult struct {
 	res        *sim.Result
 	violations int
 	leaders    int
+}
+
+// checkedRun runs cfg with a Section 3 property checker over its
+// schedule's nodes observing every round.
+func checkedRun(cfg *sim.Config) (runResult, error) {
+	check := props.NewChecker(cfg.Schedule.N())
+	cfg.Observers = append(cfg.Observers, check)
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return runResult{}, err
+	}
+	return runResult{res: res, violations: check.Count(), leaders: res.Leaders}, nil
+}
+
+// newAgentFunc is the signature of sim.Config.NewAgent.
+type newAgentFunc = func(sim.NodeID, uint64, *rng.Rand) sim.Agent
+
+// agentMaker returns the NewAgent of one engine run of n nodes. An
+// arena-backed maker builds a fresh arena on every call: an arena's slots
+// belong to one run, so concurrent trials must never share one.
+type agentMaker func(n int) newAgentFunc
+
+// trapdoorAgents makes Trapdoor nodes from one arena per engine run.
+func trapdoorAgents(p trapdoor.Params) agentMaker {
+	return func(n int) newAgentFunc { return trapdoor.MustNewArena(p, n).NewAgent }
+}
+
+// samaritanAgents makes Good Samaritan nodes from one arena per engine run.
+func samaritanAgents(p samaritan.Params) agentMaker {
+	return func(n int) newAgentFunc { return samaritan.MustNewArena(p, n).NewAgent }
 }
 
 func checkFailf(format string, args ...any) error {

@@ -319,6 +319,36 @@ func TestTrapdoorRegularRamp(t *testing.T) {
 	}
 }
 
+// TestTrapdoorRegularMatchesParams pins the precomputed ramp to the
+// Params methods it is derived from, round by round: epoch e covers local
+// rounds (e−1)·ℓE+1..e·ℓE for e < lgN, and every later round keeps the
+// final probability.
+func TestTrapdoorRegularMatchesParams(t *testing.T) {
+	for _, p := range []trapdoor.Params{
+		{N: 2, F: 2, T: 1},
+		{N: 16, F: 8, T: 2, CEpoch: 4, CFinal: 4},
+		{N: 64, F: 8, T: 2},
+		{N: 1000, F: 16, T: 7, CEpoch: 1},
+	} {
+		reg := NewTrapdoorRegular(p)
+		lg, le := p.LgN(), p.EpochLen()
+		want := func(local uint64) float64 {
+			if local <= uint64(lg-1)*le {
+				return p.BroadcastProb(int((local-1)/le) + 1)
+			}
+			return p.BroadcastProb(lg)
+		}
+		for local := uint64(1); local <= uint64(lg+1)*le; local++ {
+			if got := reg.TxProb(local); got != want(local) {
+				t.Fatalf("%+v: TxProb(%d) = %v, want %v", p, local, got, want(local))
+			}
+		}
+		if got := reg.TxProb(1 << 50); got != want(1<<50) {
+			t.Fatalf("%+v: late TxProb = %v, want %v", p, got, want(1<<50))
+		}
+	}
+}
+
 func TestFirstClearQuick(t *testing.T) {
 	// One node, half its rounds transmitting on [1..2], frequency 1 jammed:
 	// a clear broadcast happens within a few rounds.

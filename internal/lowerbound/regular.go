@@ -39,18 +39,35 @@ func (u UniformRegular) TxProb(uint64) float64 { return u.P }
 
 // TrapdoorRegular is the Trapdoor Protocol's pre-message behavior as a
 // regular schedule: uniform over [1..F'] with the Figure 1 probability
-// ramp. Rounds beyond the last epoch keep the final probability.
+// ramp. Rounds beyond the last epoch keep the final probability. The
+// schedule is derived from P once, in NewTrapdoorRegular; changing P
+// afterwards has no effect.
 type TrapdoorRegular struct {
 	P trapdoor.Params
 
-	dist freqdist.Uniform
+	dist    freqdist.Uniform
+	le      uint64    // ℓE
+	regular uint64    // (lgN − 1)·ℓE: the last round of the pre-final epochs
+	prob    []float64 // prob[e] = P.BroadcastProb(e) for e in 1..lgN
 }
 
 var _ Regular = (*TrapdoorRegular)(nil)
 
 // NewTrapdoorRegular builds the schedule for the given parameters.
 func NewTrapdoorRegular(p trapdoor.Params) *TrapdoorRegular {
-	return &TrapdoorRegular{P: p, dist: freqdist.NewUniform(1, p.FPrime())}
+	lg := p.LgN()
+	le := p.EpochLen()
+	prob := make([]float64, lg+1)
+	for e := 1; e <= lg; e++ {
+		prob[e] = p.BroadcastProb(e)
+	}
+	return &TrapdoorRegular{
+		P:       p,
+		dist:    freqdist.NewUniform(1, p.FPrime()),
+		le:      le,
+		regular: uint64(lg-1) * le,
+		prob:    prob,
+	}
 }
 
 // Dist returns the uniform distribution over [1..F'].
@@ -58,14 +75,11 @@ func (t *TrapdoorRegular) Dist(uint64) freqdist.Dist { return t.dist }
 
 // TxProb returns the Figure 1 epoch probability for the local round.
 func (t *TrapdoorRegular) TxProb(local uint64) float64 {
-	lg := t.P.LgN()
-	le := t.P.EpochLen()
-	regular := uint64(lg-1) * le
-	if local <= regular && le > 0 {
-		e := int((local-1)/le) + 1
-		return t.P.BroadcastProb(e)
+	// local − 1 < regular implies ℓE > 0; local 0 wraps to the final epoch.
+	if local-1 < t.regular {
+		return t.prob[(local-1)/t.le+1]
 	}
-	return t.P.BroadcastProb(lg)
+	return t.prob[len(t.prob)-1]
 }
 
 // UnknownT is a regular schedule for the setting of Meier et al.

@@ -349,7 +349,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // what New draws from the node's rng stream, so arena-built runs are
 // bit-identical to MustNew-built runs; slot i is only ever touched by node
 // i. Arena-built nodes form one batch cohort (the arena pointer is the
-// cohort key).
+// cohort key). The experiment catalogue builds one arena per trial:
+// concurrent trials never share one.
 type Arena struct {
 	p     *schedule
 	nodes []Node
@@ -470,7 +471,8 @@ func (n *Node) Step(local uint64) sim.Action {
 }
 
 // Cohort implements sim.BatchAgent: arena-built nodes batch per arena;
-// directly constructed nodes opt out.
+// directly constructed nodes opt out. The experiment catalogue builds
+// every Good Samaritan node from a per-trial arena.
 func (n *Node) Cohort() any {
 	if n.arena == nil {
 		return nil

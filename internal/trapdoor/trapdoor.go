@@ -285,7 +285,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // sim.Config.NewAgent and draws exactly what New draws from the node's rng
 // stream, so arena-built runs are bit-identical to MustNew-built runs; slot
 // i is only ever touched by node i. Arena-built nodes form one batch cohort
-// (the arena pointer is the cohort key).
+// (the arena pointer is the cohort key). The experiment catalogue builds
+// one arena per trial: concurrent trials never share one.
 type Arena struct {
 	p     *schedule
 	nodes []Node
@@ -395,7 +396,9 @@ func (n *Node) Step(local uint64) sim.Action {
 }
 
 // Cohort implements sim.BatchAgent: arena-built nodes batch per arena;
-// directly constructed nodes opt out.
+// directly constructed nodes opt out. The experiment catalogue builds its
+// Trapdoor nodes from per-trial arenas; only the ones another agent wraps
+// (X3's crashing leader, X5's unslotted half, X6's replicas) step alone.
 func (n *Node) Cohort() any {
 	if n.arena == nil {
 		return nil

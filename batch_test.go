@@ -1,6 +1,7 @@
 package wsync
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"wsync/internal/baseline"
 	"wsync/internal/churn"
 	"wsync/internal/multihop"
+	"wsync/internal/props"
 	"wsync/internal/rng"
 	"wsync/internal/samaritan"
 	"wsync/internal/sim"
@@ -208,5 +210,161 @@ func TestBatchCohortsFallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, ref) {
 		t.Fatalf("mixed-population batch run differs from per-node run:\n%+v\nvs\n%+v", res, ref)
+	}
+}
+
+// TestRunAgentsBatch guards Run's batch path, in the style of the
+// catalogue's TestCatalogueAgentsBatch: every named protocol with an
+// arena builds sim.BatchAgents of one cohort per Run call, and no two
+// calls share that cohort. BaselineSingleFreq, which has no arena, is the
+// one exception.
+func TestRunAgentsBatch(t *testing.T) {
+	cohort := func(ag sim.Agent) any {
+		if ba, ok := ag.(sim.BatchAgent); ok {
+			return ba.Cohort()
+		}
+		return nil
+	}
+	for _, c := range []Config{
+		{Protocol: Trapdoor},
+		{Protocol: Trapdoor, FaultTolerant: true},
+		{Protocol: GoodSamaritan},
+		{Protocol: BaselineWakeup},
+		{Protocol: BaselineRoundRobin},
+		{Protocol: BaselineSingleFreq},
+	} {
+		c.Nodes, c.F, c.T = 5, 8, 2
+		c = c.withDefaults()
+		name := fmt.Sprintf("%s (FaultTolerant %v)", c.Protocol, c.FaultTolerant)
+		sched, err := c.schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := func() func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+			factory, err := c.agentFactory(sched.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return factory
+		}
+		run := mk()
+		first := cohort(run(0, 1, rng.New(1)))
+		if c.Protocol == BaselineSingleFreq {
+			if first != nil {
+				t.Errorf("%s batch-steps; drop it from this test's exceptions", name)
+			}
+			continue
+		}
+		if first == nil {
+			t.Errorf("%s: node 0 does not batch-step (not a BatchAgent, or nil Cohort)", name)
+			continue
+		}
+		for id := 1; id < sched.N(); id++ {
+			if cohort(run(sim.NodeID(id), 1, rng.New(uint64(id)+1))) != first {
+				t.Errorf("%s: node %d is outside node 0's cohort", name, id)
+			}
+		}
+		if cohort(mk()(0, 1, rng.New(1))) == first {
+			t.Errorf("%s: two Run calls share one arena", name)
+		}
+	}
+}
+
+// TestRunMatchesPerNodeRun is Run's differential oracle: over a grid of
+// protocols, activations and jammers, Run's Result equals the Result of a
+// sim.Run whose nodes are built one at a time with MustNew and stepped
+// with batching off.
+func TestRunMatchesPerNodeRun(t *testing.T) {
+	perNode := func(c Config) func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+		return func(_ sim.NodeID, _ uint64, r *rng.Rand) sim.Agent {
+			switch c.Protocol {
+			case Trapdoor:
+				p := trapdoor.Params{N: c.N, F: c.F, T: c.T, FaultTolerant: c.FaultTolerant}
+				if c.FaultTolerant {
+					p.CommitThreshold = 2
+				}
+				return trapdoor.MustNew(p, r)
+			case GoodSamaritan:
+				return samaritan.MustNew(samaritan.Params{N: c.N, F: c.F, T: c.T}, r)
+			case BaselineWakeup:
+				return baseline.NewWakeup(c.N, c.F, r)
+			case BaselineRoundRobin:
+				return baseline.NewRoundRobin(c.N, c.F, r)
+			default:
+				return baseline.NewSingleFreq(c.N, r)
+			}
+		}
+	}
+	type proto struct {
+		p  Protocol
+		ft bool
+	}
+	for _, pr := range []proto{
+		{Trapdoor, false}, {Trapdoor, true}, {GoodSamaritan, false},
+		{BaselineWakeup, false}, {BaselineRoundRobin, false}, {BaselineSingleFreq, false},
+	} {
+		for _, act := range []string{"simultaneous", "staggered", "random"} {
+			for _, jam := range []struct {
+				name   string
+				prefix int
+			}{{"none", 0}, {"fixed", 1}, {"fixed", 0}, {"random", 0}, {"reactive", 0}} {
+				c := Config{
+					Protocol: pr.p, FaultTolerant: pr.ft,
+					Nodes: 4, N: 16, F: 8, T: 2,
+					Adversary: jam.name, JammedPrefix: jam.prefix,
+					Activation: act, ActivationGap: 5, ActivationWindow: 40,
+					Seed: 3, MaxRounds: 50000,
+				}
+				got, err := Run(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = c.withDefaults()
+				sched, err := c.schedule()
+				if err != nil {
+					t.Fatal(err)
+				}
+				adv, err := c.adversary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := props.NewChecker(sched.N())
+				res, err := sim.Run(&sim.Config{
+					F: c.F, T: c.T, Seed: c.Seed,
+					NewAgent:  perNode(c),
+					Schedule:  sched,
+					Adversary: adv,
+					MaxRounds: c.MaxRounds,
+					Observers: []sim.Observer{check},
+					NoBatch:   true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := &Result{
+					AllSynced:       res.AllSynced,
+					Rounds:          res.Stats.Rounds,
+					MaxSyncLocal:    res.MaxSyncLocal,
+					SyncRound:       res.SyncRound,
+					Activated:       res.Activated,
+					Leaders:         res.Leaders,
+					PropertiesOK:    check.OK(),
+					Summary:         check.Summary(),
+					Transmissions:   res.Stats.Transmissions,
+					Deliveries:      res.Stats.Deliveries,
+					Collisions:      res.Stats.Collisions,
+					JammedLosses:    res.Stats.DisruptedLosses,
+					ClearBroadcasts: res.Stats.ClearBroadcasts,
+					HitMaxRounds:    res.HitMaxRounds,
+				}
+				for _, v := range check.Violations() {
+					want.Violations = append(want.Violations, v.String())
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s ft=%v %s %s/%d: Run differs from the per-node run\nRun:      %+v\nper-node: %+v",
+						pr.p, pr.ft, act, jam.name, jam.prefix, got, want)
+				}
+			}
+		}
 	}
 }

@@ -244,7 +244,7 @@ func BenchmarkT18SamaritanVsTprime(b *testing.B) {
 		tp := tp
 		b.Run(benchName("tprime", tp), func(b *testing.B) {
 			samaritanBench(b, p, 4, sim.Simultaneous{Count: 4},
-				func(uint64) sim.Adversary { return adversary.NewLowPrefix(16, tp) })
+				func(uint64) sim.Adversary { return adversary.NewPrefix(16, tp) })
 		})
 	}
 }
@@ -262,12 +262,12 @@ func BenchmarkT18SamaritanFallback(b *testing.B) {
 func BenchmarkX1Crossover(b *testing.B) {
 	b.Run("trapdoor", func(b *testing.B) {
 		trapdoorBench(b, trapdoor.Params{N: 16, F: 64, T: 32}, 2,
-			func(uint64) sim.Adversary { return adversary.NewLowPrefix(64, 1) })
+			func(uint64) sim.Adversary { return adversary.NewPrefix(64, 1) })
 	})
 	b.Run("samaritan", func(b *testing.B) {
 		samaritanBench(b, samaritan.Params{N: 16, F: 64, T: 32}, 2,
 			sim.Simultaneous{Count: 2},
-			func(uint64) sim.Adversary { return adversary.NewLowPrefix(64, 1) })
+			func(uint64) sim.Adversary { return adversary.NewPrefix(64, 1) })
 	})
 }
 

@@ -2,6 +2,17 @@
 // disrupted radio network and reports per-node synchronization times,
 // medium statistics, and the property-checker verdict.
 //
+// wsim is a flag layer over the library's one entry point: each flag maps
+// onto a field of wsync.Config, wsync.Run does the run, and wsim prints
+// its Result. The same inputs therefore give the same run through either
+// front end. A zero -seed, -gap or -window takes the library default
+// (seed 1, gap 1, window 1000), and -tprime 0 with the fixed adversary
+// jams nothing. wsim rejects -n < 1, -N < 2 and -F < 1, which the library
+// would silently default.
+//
+// Exit status: 0 for a run with no property violation, 1 when the checker
+// flagged one, 2 for bad input.
+//
 // Usage examples:
 //
 //	wsim -protocol trapdoor -n 8 -N 64 -F 8 -t 2 -adversary fixed
@@ -15,14 +26,8 @@ import (
 	"io"
 	"os"
 
-	"wsync/internal/adversary"
-	"wsync/internal/baseline"
-	"wsync/internal/props"
-	"wsync/internal/rng"
-	"wsync/internal/samaritan"
-	"wsync/internal/sim"
+	"wsync"
 	"wsync/internal/trace"
-	"wsync/internal/trapdoor"
 )
 
 func main() {
@@ -40,9 +45,9 @@ func run(args []string, stdout io.Writer) int {
 		tPrime     = fs.Int("tprime", -1, "actual frequencies jammed (fixed adversary only; -1 = t)")
 		advName    = fs.String("adversary", "fixed", "none | fixed | random | sweep | bursty | reactive | stalker")
 		activation = fs.String("activation", "simultaneous", "simultaneous | staggered | random")
-		gap        = fs.Uint64("gap", 50, "staggered activation gap (rounds)")
-		window     = fs.Uint64("window", 1000, "random activation window (rounds)")
-		seed       = fs.Uint64("seed", 1, "random seed")
+		gap        = fs.Uint64("gap", 50, "staggered activation gap (rounds; 0 = library default)")
+		window     = fs.Uint64("window", 1000, "random activation window (rounds; 0 = library default)")
+		seed       = fs.Uint64("seed", 1, "random seed (0 = library default)")
 		maxRounds  = fs.Uint64("rounds", 1<<22, "round budget")
 		ft         = fs.Bool("ft", false, "fault-tolerant trapdoor variant")
 		traceLast  = fs.Int("trace", 0, "print an ASCII timeline of the last N rounds")
@@ -50,86 +55,55 @@ func run(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	newAgent, err := agentFactory(*protocol, *nBound, *f, *t, *ft)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
-		return 2
+	switch {
+	case *n < 1:
+		return fail(fmt.Errorf("-n %d: need at least 1 node", *n))
+	case *nBound < 2:
+		return fail(fmt.Errorf("-N %d: need N >= 2", *nBound))
+	case *f < 1:
+		return fail(fmt.Errorf("-F %d: need at least 1 frequency", *f))
 	}
 
-	var sched sim.Schedule
-	switch *activation {
-	case "simultaneous":
-		sched = sim.Simultaneous{Count: *n}
-	case "staggered":
-		sched = sim.Staggered{Count: *n, Gap: *gap}
-	case "random":
-		sched = sim.RandomWindow(*n, *window, *seed+999)
-	default:
-		fmt.Fprintf(os.Stderr, "wsim: unknown activation %q\n", *activation)
-		return 2
+	cfg := wsync.Config{
+		Protocol:         wsync.Protocol(*protocol),
+		Nodes:            *n,
+		N:                *nBound,
+		F:                *f,
+		T:                *t,
+		Adversary:        *advName,
+		Activation:       *activation,
+		ActivationGap:    *gap,
+		ActivationWindow: *window,
+		Seed:             *seed,
+		MaxRounds:        *maxRounds,
+		FaultTolerant:    *ft,
 	}
-
-	var adv sim.Adversary
-	if *advName == "fixed" && *tPrime >= 0 {
-		adv = adversary.NewLowPrefix(*f, *tPrime)
-	} else {
-		adv, err = adversary.New(*advName, *f, *t, *seed+4242)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
-			return 2
-		}
-	}
-
-	check := props.NewChecker(*n)
-	cfg := &sim.Config{
-		F:         *f,
-		T:         *t,
-		Seed:      *seed,
-		NewAgent:  newAgent,
-		Schedule:  sched,
-		Adversary: adv,
-		MaxRounds: *maxRounds,
-		Observers: []sim.Observer{check},
+	switch {
+	case *tPrime == 0 && *advName == "fixed":
+		cfg.Adversary = "none" // JammedPrefix 0 means T
+	case *tPrime > 0:
+		cfg.JammedPrefix = *tPrime
 	}
 	var recorder *trace.Recorder
 	if *traceLast > 0 {
 		recorder = trace.NewRecorder(*traceLast)
-		cfg.Observers = append(cfg.Observers, recorder)
+		cfg.Observers = []wsync.Observer{recorder}
 	}
 
-	res, err := sim.Run(cfg)
+	res, err := wsync.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
-		return 1
+		return fail(err)
 	}
-
 	fmt.Fprintf(stdout, "protocol=%s n=%d N=%d F=%d t=%d adversary=%s seed=%d\n",
 		*protocol, *n, *nBound, *f, *t, *advName, *seed)
-	fmt.Fprintf(stdout, "rounds executed: %d (hit budget: %v)\n", res.Stats.Rounds, res.HitMaxRounds)
-	fmt.Fprintf(stdout, "all synced: %v, leaders: %d, max local sync time: %d rounds\n",
-		res.AllSynced, res.Leaders, res.MaxSyncLocal)
-	fmt.Fprintf(stdout, "medium: %d transmissions, %d deliveries, %d collisions, %d jammed losses, %d clear broadcasts\n",
-		res.Stats.Transmissions, res.Stats.Deliveries, res.Stats.Collisions,
-		res.Stats.DisruptedLosses, res.Stats.ClearBroadcasts)
-	fmt.Fprintln(stdout, "per-node: id activated syncedAt localTime")
-	for i := range res.SyncRound {
-		local := "-"
-		syncAt := "-"
-		if res.SyncRound[i] != 0 {
-			syncAt = fmt.Sprintf("%d", res.SyncRound[i])
-			local = fmt.Sprintf("%d", res.SyncLocal(i))
-		}
-		fmt.Fprintf(stdout, "  %2d  %6d  %8s  %8s\n", i, res.Activated[i], syncAt, local)
-	}
-	fmt.Fprintln(stdout, check.Summary())
+	report(stdout, res)
 	if recorder != nil {
 		if err := recorder.Render(stdout, *n); err != nil {
 			fmt.Fprintf(os.Stderr, "wsim: trace: %v\n", err)
 		}
 	}
-	if !check.OK() {
-		for _, v := range check.Violations() {
+	if !res.PropertiesOK {
+		for _, v := range res.Violations {
 			fmt.Fprintf(stdout, "  %s\n", v)
 		}
 		return 1
@@ -137,41 +111,29 @@ func run(args []string, stdout io.Writer) int {
 	return 0
 }
 
-// agentFactory builds the protocol constructor for the engine.
-func agentFactory(protocol string, nBound, f, t int, ft bool) (func(sim.NodeID, uint64, *rng.Rand) sim.Agent, error) {
-	switch protocol {
-	case "trapdoor":
-		p := trapdoor.Params{N: nBound, F: f, T: t, FaultTolerant: ft}
-		if ft {
-			p.CommitThreshold = 2
+// fail reports bad input and returns its exit status.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "wsim: %v\n", err)
+	return 2
+}
+
+// report prints a run's rounds, medium statistics, per-node table and the
+// property checker's verdict.
+func report(w io.Writer, res *wsync.Result) {
+	fmt.Fprintf(w, "rounds executed: %d (hit budget: %v)\n", res.Rounds, res.HitMaxRounds)
+	fmt.Fprintf(w, "all synced: %v, leaders: %d, max local sync time: %d rounds\n",
+		res.AllSynced, res.Leaders, res.MaxSyncLocal)
+	fmt.Fprintf(w, "medium: %d transmissions, %d deliveries, %d collisions, %d jammed losses, %d clear broadcasts\n",
+		res.Transmissions, res.Deliveries, res.Collisions, res.JammedLosses, res.ClearBroadcasts)
+	fmt.Fprintln(w, "per-node: id activated syncedAt localTime")
+	for i, at := range res.SyncRound {
+		local := "-"
+		syncAt := "-"
+		if at != 0 {
+			syncAt = fmt.Sprintf("%d", at)
+			local = fmt.Sprintf("%d", at-res.Activated[i]+1)
 		}
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(p, r)
-		}, nil
-	case "samaritan":
-		p := samaritan.Params{N: nBound, F: f, T: t}
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return samaritan.MustNew(p, r)
-		}, nil
-	case "wakeup":
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return baseline.NewWakeup(nBound, f, r)
-		}, nil
-	case "roundrobin":
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return baseline.NewRoundRobin(nBound, f, r)
-		}, nil
-	case "singlefreq":
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return baseline.NewSingleFreq(nBound, r)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
+		fmt.Fprintf(w, "  %2d  %6d  %8s  %8s\n", i, res.Activated[i], syncAt, local)
 	}
+	fmt.Fprintln(w, res.Summary)
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"wsync"
 )
 
 func runCapture(t *testing.T, args []string) (int, string) {
@@ -79,6 +82,11 @@ func TestBadInputs(t *testing.T) {
 		{"-not-a-flag"},
 		{"-protocol", "trapdoor", "-F", "0"},
 		{"-protocol", "samaritan", "-F", "4", "-t", "3"},
+		{"-protocol", "wakeup", "-F", "0"},
+		{"-n", "0"},
+		{"-N", "0"},
+		// t' above the budget: an error, not an engine panic.
+		{"-n", "3", "-N", "16", "-F", "8", "-t", "2", "-tprime", "3"},
 	}
 	for _, args := range cases {
 		if code, _ := runCapture(t, args); code == 0 {
@@ -95,6 +103,60 @@ func TestBaselineProtocols(t *testing.T) {
 		})
 		if code != 0 {
 			t.Errorf("%s: exit %d", proto, code)
+		}
+	}
+}
+
+// TestOutputMatchesLibrary checks the flag layer: wsim's per-node table
+// and summary equal those rendered from wsync.Run on the Config its flags
+// describe, written out here by hand.
+func TestOutputMatchesLibrary(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		cfg  wsync.Config
+	}{
+		{[]string{}, wsync.Config{
+			Protocol: wsync.Trapdoor, Nodes: 8, N: 64, F: 8, T: 2, Adversary: "fixed",
+			Activation: "simultaneous", ActivationGap: 50, ActivationWindow: 1000, Seed: 1, MaxRounds: 1 << 22,
+		}},
+		{[]string{"-protocol", "samaritan", "-n", "4", "-N", "16", "-F", "16", "-t", "8", "-tprime", "1", "-seed", "3"},
+			wsync.Config{
+				Protocol: wsync.GoodSamaritan, Nodes: 4, N: 16, F: 16, T: 8, Adversary: "fixed", JammedPrefix: 1,
+				ActivationGap: 50, ActivationWindow: 1000, Seed: 3, MaxRounds: 1 << 22,
+			}},
+		{[]string{"-ft", "-n", "3", "-N", "16", "-activation", "random", "-window", "60", "-adversary", "bursty", "-seed", "0"},
+			wsync.Config{
+				Protocol: wsync.Trapdoor, FaultTolerant: true, Nodes: 3, N: 16, F: 8, T: 2, Adversary: "bursty",
+				Activation: "random", ActivationWindow: 60, ActivationGap: 50, MaxRounds: 1 << 22,
+			}},
+		{[]string{"-protocol", "singlefreq", "-n", "4", "-activation", "staggered", "-gap", "5", "-tprime", "0", "-rounds", "3000"},
+			wsync.Config{
+				Protocol: wsync.BaselineSingleFreq, Nodes: 4, N: 64, F: 8, T: 2, Adversary: "none",
+				Activation: "staggered", ActivationGap: 5, ActivationWindow: 1000, Seed: 1, MaxRounds: 3000,
+			}},
+		{[]string{"-protocol", "wakeup", "-n", "8", "-activation", "staggered", "-seed", "7", "-adversary", "stalker"},
+			wsync.Config{
+				Protocol: wsync.BaselineWakeup, Nodes: 8, N: 64, F: 8, T: 2, Adversary: "stalker",
+				Activation: "staggered", ActivationGap: 50, ActivationWindow: 1000, Seed: 7, MaxRounds: 1 << 22,
+			}},
+	} {
+		code, out := runCapture(t, c.args)
+		res, err := wsync.Run(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		report(&want, res)
+		wantCode := 0
+		if !res.PropertiesOK {
+			wantCode = 1
+			for _, v := range res.Violations {
+				fmt.Fprintf(&want, "  %s\n", v)
+			}
+		}
+		_, body, _ := strings.Cut(out, "\n") // drop the flag echo
+		if code != wantCode || body != want.String() {
+			t.Errorf("args %v: exit %d, output\n%s\nwant exit %d, output\n%s", c.args, code, body, wantCode, want.String())
 		}
 	}
 }

@@ -200,28 +200,3 @@ func (a *busiest) Disrupt(_ uint64, h *sim.History) *freqset.Set {
 	a.top = freqset.TopT(a.set, a.cnt, a.t, a.top)
 	return a.set
 }
-
-// LowPrefix jams frequencies 1..t' where t' may be below the budget t; it
-// is the adversary used in the Good Samaritan "good execution" experiments
-// (at most t' < t frequencies disrupted, and the jammed set overlaps the
-// protocol's preferred low band).
-type LowPrefix struct {
-	set *freqset.Set
-}
-
-var _ sim.HistoryBlind = (*LowPrefix)(nil)
-
-// NewLowPrefix returns an adversary that always jams 1..tPrime over [1..f].
-func NewLowPrefix(f, tPrime int) *LowPrefix {
-	freqs := make([]int, tPrime)
-	for i := range freqs {
-		freqs[i] = i + 1
-	}
-	return &LowPrefix{set: freqset.FromSlice(f, freqs)}
-}
-
-// Disrupt returns the fixed low prefix.
-func (a *LowPrefix) Disrupt(uint64, *sim.History) *freqset.Set { return a.set }
-
-// IgnoresHistory marks LowPrefix as sim.HistoryBlind.
-func (*LowPrefix) IgnoresHistory() {}

@@ -7,8 +7,10 @@
 // the paper's arguments and by the experiments:
 //
 //   - None: no disruption (a baseline sanity adversary).
-//   - Fixed: a static set, e.g. frequencies 1..t — the "weak adversary" of
-//     the Theorem 1 lower bound.
+//   - Fixed: a static set. NewPrefix(f, t') jams frequencies 1..t': with
+//     t' = t it is the "weak adversary" of the Theorem 1 lower bound, and
+//     with t' < t the Good Samaritan "good execution" jammer, the natural
+//     worst case for that protocol's low-frequency optimism.
 //   - Random: a fresh uniform t-subset each round; oblivious, as required
 //     by the Good Samaritan analysis.
 //   - Sweep: a sliding window of t consecutive frequencies, a classic
@@ -20,8 +22,6 @@
 //     only uses completed history.
 //   - Stalker: the same strategy counting listeners instead of
 //     transmitters, so it starves receivers.
-//   - LowPrefix: jams the t' lowest frequencies; the natural worst case
-//     for the Good Samaritan protocol's low-frequency optimism.
 //
 // Reactive and Stalker are one type that differs only in which actions it
 // counts. Each round it counts the previous round's actions per frequency

@@ -52,7 +52,7 @@ func compareProtocols(o Options, tbl *Table, key uint64, f, tJam int,
 	protos []protocol, maxRounds uint64) error {
 	for _, proto := range protos {
 		ps := protoStats{}
-		results, err := o.parallelRuns(o.trials(), func(i int) (runResult, error) {
+		results, err := mapTrials(o, o.trials(), func(i int) (runResult, error) {
 			// Every protocol sees the same per-trial seed so the comparison
 			// holds the randomness fixed across rows.
 			seed := o.TrialSeed(pointKey(ptCompare, key), i)
@@ -155,11 +155,16 @@ func runX3(o Options) (*Table, error) {
 	crashAt := 3 * p.TotalRounds() // well after election and dissemination
 	maxRounds := crashAt + 40*p.EffectiveLeaderTimeout() + 4*p.TotalRounds()
 
+	// x3Trial is one trial's outcome: the re-election delay after the
+	// crash (0 = none), the mean restarts per survivor, and the survivors'
+	// property violations.
+	type x3Trial struct {
+		reelect    uint64
+		restarts   float64
+		violations int
+	}
 	runs := o.trials()
-	recovered, violations := 0, 0
-	var reelect []float64
-	var restarts []float64
-	for i := 0; i < runs; i++ {
+	outs, err := mapTrials(o, runs, func(i int) (x3Trial, error) {
 		// The survivors batch-step from the arena; node 0 steps alone
 		// behind its crash wrapper.
 		arena := trapdoor.MustNewArena(p, active)
@@ -198,24 +203,39 @@ func runX3(o Options) (*Table, error) {
 			Observers:      []sim.Observer{scan, check},
 		}
 		if _, err := sim.Run(cfg); err != nil {
-			return nil, err
+			return x3Trial{}, err
 		}
+		var out x3Trial
 		if reelectedAt != 0 {
-			recovered++
-			reelect = append(reelect, float64(reelectedAt-crashAt))
+			out.reelect = reelectedAt - crashAt
 		}
 		totalRestarts := 0
 		for id := 1; id < active; id++ {
 			totalRestarts += nodes[id].Restarts()
 		}
-		restarts = append(restarts, float64(totalRestarts)/float64(active-1))
+		out.restarts = float64(totalRestarts) / float64(active-1)
 		// Exclude the crashed node's forced ⊥ reversion (it reports ⊥
 		// after death by design); count only violations on survivors.
 		for _, v := range check.Violations() {
 			if v.Node != 0 {
-				violations++
+				out.violations++
 			}
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	recovered, violations := 0, 0
+	var reelect []float64
+	var restarts []float64
+	for _, out := range outs {
+		if out.reelect != 0 {
+			recovered++
+			reelect = append(reelect, float64(out.reelect))
+		}
+		restarts = append(restarts, out.restarts)
+		violations += out.violations
 	}
 	med := 0.0
 	if len(reelect) > 0 {
@@ -252,7 +272,7 @@ func runX4(o Options) (*Table, error) {
 	const gsN, gsF, gsT, gsActive = 16, 16, 8, 4
 	err = compareProtocols(o, tbl, 0, gsF, gsT,
 		sim.Simultaneous{Count: gsActive},
-		func(seed uint64) sim.Adversary { return adversary.NewLowPrefix(gsF, 1) },
+		func(seed uint64) sim.Adversary { return adversary.NewPrefix(gsF, 1) },
 		x4SamaritanProtocols(gsN, gsF, gsT), 1<<23)
 	if err != nil {
 		return nil, err

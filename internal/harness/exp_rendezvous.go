@@ -228,7 +228,7 @@ func runR3(o Options) (*Table, error) {
 			sc, jc := sc, jc
 			point := pointKey(ptR3Sim, key<<16|uint64(si)<<8|uint64(ji))
 			jamPoint := pointKey(ptR3Adversary, key<<16|uint64(si)<<8|uint64(ji))
-			rounds, err := o.parallelMap(trials, func(i int) (float64, error) {
+			rounds, err := mapTrials(o, trials, func(i int) (float64, error) {
 				pair := sc.mk()
 				res, err := rendezvous.Run(&rendezvous.Config{
 					F: f,

@@ -54,7 +54,7 @@ func runT18a(o Options) (*Table, error) {
 	for _, tp := range tPrimes {
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
 			rr, err := samaritanRun(p, sim.Simultaneous{Count: active},
-				adversary.NewLowPrefix(f, tp), o.TrialSeed(pointKey(ptT18a, uint64(tp)), i), 1<<22)
+				adversary.NewPrefix(f, tp), o.TrialSeed(pointKey(ptT18a, uint64(tp)), i), 1<<22)
 			if err != nil {
 				return 0, err
 			}
@@ -155,7 +155,7 @@ func runX1(o Options) (*Table, error) {
 	sp := samaritan.Params{N: nBound, F: f, T: tBudget}
 	for _, prime := range tPrimes {
 		tdSum, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := trapdoorRun(tp, active, adversary.NewLowPrefix(f, prime),
+			rr, err := trapdoorRun(tp, active, adversary.NewPrefix(f, prime),
 				o.TrialSeed(pointKey(ptX1Trapdoor, uint64(prime)), i), 1<<22)
 			if err != nil {
 				return 0, err
@@ -170,7 +170,7 @@ func runX1(o Options) (*Table, error) {
 		}
 		gsSum, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
 			rr, err := samaritanRun(sp, sim.Simultaneous{Count: active},
-				adversary.NewLowPrefix(f, prime), o.TrialSeed(pointKey(ptX1Samaritan, uint64(prime)), i), 1<<23)
+				adversary.NewPrefix(f, prime), o.TrialSeed(pointKey(ptX1Samaritan, uint64(prime)), i), 1<<23)
 			if err != nil {
 				return 0, err
 			}

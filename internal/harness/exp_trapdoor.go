@@ -158,7 +158,7 @@ func runT10c(o Options) (*Table, error) {
 	for _, c := range configs {
 		p := trapdoor.Params{N: c.nBound, F: c.f, T: c.tJam}
 		multi, viol := 0, 0
-		results, err := o.parallelMap(runs, func(i int) (float64, error) {
+		results, err := mapTrials(o, runs, func(i int) (float64, error) {
 			rr, err := trapdoorRun(p, c.active, adversary.NewPrefix(c.f, c.tJam),
 				o.TrialSeed(pointKey(ptT10c, uint64(c.nBound)<<16|uint64(c.active)), i), 1<<21)
 			if err != nil {

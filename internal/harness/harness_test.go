@@ -65,10 +65,10 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestParallelMapOrderAndErrors(t *testing.T) {
+func TestMapTrialsOrderAndErrors(t *testing.T) {
 	for _, par := range []int{1, 4, 32} {
 		o := Options{Parallelism: par}
-		xs, err := o.parallelMap(32, func(i int) (float64, error) { return float64(i * i), nil })
+		xs, err := mapTrials(o, 32, func(i int) (float64, error) { return float64(i * i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestParallelMapOrderAndErrors(t *testing.T) {
 				t.Fatalf("parallelism %d: xs[%d] = %v", par, i, x)
 			}
 		}
-		_, err = o.parallelMap(8, func(i int) (float64, error) {
+		_, err = mapTrials(o, 8, func(i int) (float64, error) {
 			if i == 5 {
 				return 0, checkFailf("boom")
 			}

@@ -10,8 +10,8 @@ import (
 
 // runner.go is the experiment runner: it fans a sweep point's Monte-Carlo
 // trials out across worker goroutines (the shared work-stealing scheduler
-// in internal/pool) and aggregates their measurements through mergeable
-// stats.Accumulators.
+// in internal/pool) with mapTrials, the one trial fan-out, and folds their
+// measurements in trial order.
 //
 // Results are bit-identical at every parallelism level. Two invariants
 // make that true:
@@ -19,10 +19,10 @@ import (
 //  1. Trial identity is fixed before execution: every trial's RNG seed is
 //     derived from (Options.Seed, sweep-point key, trial index) alone via
 //     rng splitting (TrialSeed), never from which worker runs it or when.
-//  2. Aggregation is order-free: per-trial outputs land in slots indexed
-//     by trial, and accumulator summaries are computed from the merged
-//     value histogram in ascending order, so scheduling cannot reorder
-//     any floating-point reduction.
+//  2. Aggregation follows trial order: per-trial outputs land in slots
+//     indexed by trial and are folded in that order, and accumulator
+//     summaries read the value histogram in ascending order, so
+//     scheduling cannot reorder any floating-point reduction.
 
 // workers returns the effective worker count: Parallelism if set,
 // otherwise one worker per CPU.
@@ -114,46 +114,17 @@ func mapTrials[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) 
 	return out, nil
 }
 
-// parallelMap is mapTrials for scalar measurements.
-func (o Options) parallelMap(n int, fn func(i int) (float64, error)) ([]float64, error) {
-	return mapTrials(o, n, fn)
-}
-
-// parallelRuns is mapTrials for full run results.
-func (o Options) parallelRuns(n int, fn func(i int) (runResult, error)) ([]runResult, error) {
-	return mapTrials(o, n, fn)
-}
-
-// summarizeTrials streams fn's per-trial measurements through one
-// stats.Accumulator per worker and merges them into a single Summary,
-// never materializing the per-trial result slice. Use it when an
+// summarizeTrials runs fn over n trials with mapTrials and folds the
+// measurements into one stats.Accumulator in trial order. Use it when an
 // experiment needs only the summary statistics of a sweep point.
 func (o Options) summarizeTrials(n int, fn func(i int) (float64, error)) (stats.Summary, error) {
-	workers := o.workers()
-	if workers > n {
-		workers = n
+	xs, err := mapTrials(o, n, fn)
+	if err != nil {
+		return stats.Summary{}, err
 	}
-	if workers < 1 {
-		workers = 1
+	var acc stats.Accumulator
+	for _, x := range xs {
+		acc.Add(x)
 	}
-	accs := make([]stats.Accumulator, workers)
-	errs := make([]error, n)
-	pool.Run(workers, n, func(w, i int) {
-		x, err := fn(i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		accs[w].Add(x)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return stats.Summary{}, err
-		}
-	}
-	merged := &accs[0]
-	for w := 1; w < workers; w++ {
-		merged.Merge(&accs[w])
-	}
-	return merged.Summary(), nil
+	return acc.Summary(), nil
 }

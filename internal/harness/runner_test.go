@@ -12,10 +12,11 @@ import (
 // (Parallelism 1) and parallel (Parallelism 8) runs of the same experiment
 // produce byte-identical tables. One trapdoor and one samaritan experiment
 // cover both protocol families' trial loops; L9 pins its fold over one
-// pooled batch of every config's trials, and X2 and X4 that parallel
-// trials never share a per-trial arena.
+// pooled batch of every config's trials, X3 its fold of pooled crash
+// trials, and X2 and X4 that parallel trials never share a per-trial
+// arena.
 func TestRunnerDeterminism(t *testing.T) {
-	for _, id := range []string{"T10a", "T18a", "L9", "X2", "X4"} {
+	for _, id := range []string{"T10a", "T18a", "L9", "X2", "X3", "X4"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -43,8 +43,8 @@ type Params struct {
 	AblationNoHelp bool
 }
 
-// Defaults for the Θ-constants (see EXPERIMENTS.md for how they were
-// chosen).
+// Defaults for the Θ-constants (DESIGN.md §3 lists them with the
+// Trapdoor's).
 const (
 	DefaultCEpoch         = 8
 	DefaultEpochLogPower  = 2
@@ -349,8 +349,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // what New draws from the node's rng stream, so arena-built runs are
 // bit-identical to MustNew-built runs; slot i is only ever touched by node
 // i. Arena-built nodes form one batch cohort (the arena pointer is the
-// cohort key). The experiment catalogue builds one arena per trial:
-// concurrent trials never share one.
+// cohort key). The experiment catalogue builds one arena per trial, and
+// wsync.Run one per call: concurrent runs never share one.
 type Arena struct {
 	p     *schedule
 	nodes []Node

@@ -330,7 +330,7 @@ func goodCaseConfig(p Params, n int, tPrime int, seed uint64) *sim.Config {
 			return MustNew(p, r)
 		},
 		Schedule:  sim.Simultaneous{Count: n},
-		Adversary: adversary.NewLowPrefix(p.F, tPrime),
+		Adversary: adversary.NewPrefix(p.F, tPrime),
 		MaxRounds: 3_000_000,
 		// Every protocol message must survive the radio wire format.
 		WireFidelity: true,

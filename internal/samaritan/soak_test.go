@@ -63,7 +63,7 @@ func TestSoakGrid(t *testing.T) {
 					return MustNew(p, r)
 				},
 				Schedule:     sched,
-				Adversary:    adversary.NewLowPrefix(c.f, c.tPrime),
+				Adversary:    adversary.NewPrefix(c.f, c.tPrime),
 				MaxRounds:    1 << 23,
 				Observers:    []sim.Observer{check},
 				WireFidelity: true,

@@ -5,10 +5,9 @@ import (
 	"sort"
 )
 
-// Accumulator is a mergeable, streaming collector of measurements. The
-// experiment runner gives each worker goroutine its own Accumulator and
-// merges them once the sweep point finishes, so a sweep never materializes
-// the full per-trial result slice.
+// Accumulator is a streaming collector of measurements. The experiment
+// runner folds a sweep point's per-trial measurements into one, in trial
+// order.
 //
 // Internally the accumulator keeps an exact value histogram. Measurements
 // in this repository are round counts (integers stored as float64), so the
@@ -16,10 +15,10 @@ import (
 // histogram stays small; arbitrary float64 values are still handled
 // correctly, just without compression.
 //
-// Summary output is bit-identical regardless of how samples were
-// partitioned across accumulators: all derived statistics are computed
-// from the merged histogram in ascending value order, exactly as Summarize
-// computes them from a sorted sample.
+// Summary output is bit-identical regardless of the order samples were
+// added in: all derived statistics are computed from the histogram in
+// ascending value order, exactly as Summarize computes them from a sorted
+// sample.
 type Accumulator struct {
 	n      int
 	counts map[float64]int
@@ -36,20 +35,6 @@ func (a *Accumulator) Add(x float64) {
 	}
 	a.counts[x]++
 	a.n++
-}
-
-// Merge folds b's samples into a. b is left unchanged.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b == nil || b.n == 0 {
-		return
-	}
-	if a.counts == nil {
-		a.counts = make(map[float64]int, len(b.counts))
-	}
-	for x, c := range b.counts {
-		a.counts[x] += c
-	}
-	a.n += b.n
 }
 
 // N returns the number of samples recorded so far.

@@ -23,26 +23,22 @@ func testSample(n int) []float64 {
 	return xs
 }
 
-// TestAccumulatorMatchesSummarize is the accumulator's core contract: for
-// any partition of the sample across accumulators, the merged Summary is
-// bit-identical to Summarize of the whole sample.
+// TestAccumulatorMatchesSummarize is the accumulator's core contract: in
+// any order of addition, its Summary is bit-identical to Summarize of the
+// whole sample.
 func TestAccumulatorMatchesSummarize(t *testing.T) {
 	xs := testSample(400)
 	want := Summarize(xs)
-	for _, parts := range []int{1, 2, 3, 8, 31} {
-		accs := make([]Accumulator, parts)
-		for i, x := range xs {
-			accs[i%parts].Add(x)
+	for _, stride := range []int{1, 3, 7, 31} { // coprime to len(xs): a permutation
+		var a Accumulator
+		for i := range xs {
+			a.Add(xs[i*stride%len(xs)])
 		}
-		var merged Accumulator
-		for i := range accs {
-			merged.Merge(&accs[i])
+		if a.N() != len(xs) {
+			t.Fatalf("stride %d: N = %d", stride, a.N())
 		}
-		if merged.N() != len(xs) {
-			t.Fatalf("%d parts: N = %d", parts, merged.N())
-		}
-		if got := merged.Summary(); got != want {
-			t.Errorf("%d parts: summary %+v != %+v", parts, got, want)
+		if got := a.Summary(); got != want {
+			t.Errorf("stride %d: summary %+v != %+v", stride, got, want)
 		}
 	}
 }
@@ -52,10 +48,8 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 	if a.Summary() != (Summary{}) {
 		t.Error("empty accumulator summary not zero")
 	}
-	a.Merge(&Accumulator{}) // merging empties is a no-op
-	a.Merge(nil)
 	if a.N() != 0 {
-		t.Error("merge of empties added samples")
+		t.Error("empty accumulator has samples")
 	}
 	a.Add(3)
 	s := a.Summary()

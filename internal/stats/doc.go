@@ -4,9 +4,9 @@
 //
 // Summarize condenses a sample into the quantiles the experiment tables
 // report; FitRatio and RelSpread quantify how closely a measured curve
-// tracks a theory curve's shape. Accumulator is the streaming, mergeable
-// counterpart of Summarize used by the parallel runner: per-worker
-// accumulators merge into one summary whose floating-point reductions are
-// computed in a scheduling-independent order, anchoring the runner's
+// tracks a theory curve's shape. Accumulator is the streaming counterpart
+// of Summarize used by the parallel runner: its summary's floating-point
+// reductions run over a value histogram in ascending order, independent
+// of the order samples arrive in, anchoring the runner's
 // bit-identical-at-any-parallelism guarantee.
 package stats

@@ -286,7 +286,8 @@ func MustNew(p Params, r *rng.Rand) *Node {
 // stream, so arena-built runs are bit-identical to MustNew-built runs; slot
 // i is only ever touched by node i. Arena-built nodes form one batch cohort
 // (the arena pointer is the cohort key). The experiment catalogue builds
-// one arena per trial: concurrent trials never share one.
+// one arena per trial, and wsync.Run one per call: concurrent runs never
+// share one.
 type Arena struct {
 	p     *schedule
 	nodes []Node

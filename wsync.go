@@ -133,7 +133,8 @@ type Config struct {
 	// CustomAdversary is set.
 	Adversary string
 	// JammedPrefix overrides the "fixed" adversary's prefix size (the
-	// paper's t' < t good-case disruption); -0 or unset means T.
+	// paper's t' < t good-case disruption) and must lie in [0, T]; zero
+	// means T, so a run with nothing jammed names Adversary "none".
 	JammedPrefix int
 
 	// Activation is "simultaneous" (default), "staggered", or "random".
@@ -182,15 +183,18 @@ type Result struct {
 	// the end (1 in correct executions).
 	Leaders int
 	// PropertiesOK reports that no property violation was observed;
-	// Violations lists any (capped).
+	// Violations lists any (capped). Summary is the checker's one-line
+	// verdict.
 	PropertiesOK bool
 	Violations   []string
-	// Transmissions, Deliveries, Collisions, JammedLosses summarize the
-	// medium.
-	Transmissions uint64
-	Deliveries    uint64
-	Collisions    uint64
-	JammedLosses  uint64
+	Summary      string
+	// Transmissions, Deliveries, Collisions, JammedLosses and
+	// ClearBroadcasts summarize the medium.
+	Transmissions   uint64
+	Deliveries      uint64
+	Collisions      uint64
+	JammedLosses    uint64
+	ClearBroadcasts uint64
 	// HitMaxRounds reports the run stopped at the budget.
 	HitMaxRounds bool
 }
@@ -236,15 +240,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run executes one synchronization run and reports the outcome.
+// Run executes one synchronization run and reports the outcome. The
+// named protocols other than BaselineSingleFreq build their nodes from one
+// arena per call, so they batch-step; arena-built runs are bit-identical
+// to runs of nodes built one at a time.
 func Run(c Config) (*Result, error) {
 	c = c.withDefaults()
 
-	factory, err := c.agentFactory()
+	sched, err := c.schedule()
 	if err != nil {
 		return nil, err
 	}
-	sched, err := c.schedule()
+	if sched.N() < 1 {
+		return nil, fmt.Errorf("wsync: schedule activates %d nodes, need >= 1", sched.N())
+	}
+	factory, err := c.agentFactory(sched.N())
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +263,7 @@ func Run(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	check := props.NewChecker(c.Nodes)
+	check := props.NewChecker(sched.N())
 	cfg := &sim.Config{
 		F:              c.F,
 		T:              c.T,
@@ -271,18 +281,20 @@ func Run(c Config) (*Result, error) {
 	}
 
 	out := &Result{
-		AllSynced:     res.AllSynced,
-		Rounds:        res.Stats.Rounds,
-		MaxSyncLocal:  res.MaxSyncLocal,
-		SyncRound:     res.SyncRound,
-		Activated:     res.Activated,
-		Leaders:       res.Leaders,
-		PropertiesOK:  check.OK(),
-		Transmissions: res.Stats.Transmissions,
-		Deliveries:    res.Stats.Deliveries,
-		Collisions:    res.Stats.Collisions,
-		JammedLosses:  res.Stats.DisruptedLosses,
-		HitMaxRounds:  res.HitMaxRounds,
+		AllSynced:       res.AllSynced,
+		Rounds:          res.Stats.Rounds,
+		MaxSyncLocal:    res.MaxSyncLocal,
+		SyncRound:       res.SyncRound,
+		Activated:       res.Activated,
+		Leaders:         res.Leaders,
+		PropertiesOK:    check.OK(),
+		Summary:         check.Summary(),
+		Transmissions:   res.Stats.Transmissions,
+		Deliveries:      res.Stats.Deliveries,
+		Collisions:      res.Stats.Collisions,
+		JammedLosses:    res.Stats.DisruptedLosses,
+		ClearBroadcasts: res.Stats.ClearBroadcasts,
+		HitMaxRounds:    res.HitMaxRounds,
 	}
 	for _, v := range check.Violations() {
 		out.Violations = append(out.Violations, v.String())
@@ -290,8 +302,9 @@ func Run(c Config) (*Result, error) {
 	return out, nil
 }
 
-// agentFactory resolves the protocol into an engine agent factory.
-func (c Config) agentFactory() (func(sim.NodeID, uint64, *rng.Rand) sim.Agent, error) {
+// agentFactory resolves the protocol into an engine agent factory for a
+// run of count nodes.
+func (c Config) agentFactory(count int) (func(sim.NodeID, uint64, *rng.Rand) sim.Agent, error) {
 	if c.NewAgent != nil {
 		custom := c.NewAgent
 		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
@@ -304,28 +317,21 @@ func (c Config) agentFactory() (func(sim.NodeID, uint64, *rng.Rand) sim.Agent, e
 		if c.FaultTolerant {
 			p.CommitThreshold = 2
 		}
-		if err := p.Validate(); err != nil {
+		a, err := trapdoor.NewArena(p, count)
+		if err != nil {
 			return nil, fmt.Errorf("wsync: %w", err)
 		}
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return trapdoor.MustNew(p, r)
-		}, nil
+		return a.NewAgent, nil
 	case GoodSamaritan:
-		p := samaritan.Params{N: c.N, F: c.F, T: c.T}
-		if err := p.Validate(); err != nil {
+		a, err := samaritan.NewArena(samaritan.Params{N: c.N, F: c.F, T: c.T}, count)
+		if err != nil {
 			return nil, fmt.Errorf("wsync: %w", err)
 		}
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return samaritan.MustNew(p, r)
-		}, nil
+		return a.NewAgent, nil
 	case BaselineWakeup:
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return baseline.NewWakeup(c.N, c.F, r)
-		}, nil
+		return baseline.NewWakeupArena(c.N, c.F, count).NewAgent, nil
 	case BaselineRoundRobin:
-		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			return baseline.NewRoundRobin(c.N, c.F, r)
-		}, nil
+		return baseline.NewRoundRobinArena(c.N, c.F, count).NewAgent, nil
 	case BaselineSingleFreq:
 		return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 			return baseline.NewSingleFreq(c.N, r)
@@ -358,10 +364,10 @@ func (c Config) adversary() (sim.Adversary, error) {
 		return c.CustomAdversary, nil
 	}
 	if c.Adversary == "fixed" && c.JammedPrefix != c.T {
-		if c.JammedPrefix > c.T {
-			return nil, fmt.Errorf("wsync: JammedPrefix %d exceeds budget T=%d", c.JammedPrefix, c.T)
+		if c.JammedPrefix < 0 || c.JammedPrefix > c.T {
+			return nil, fmt.Errorf("wsync: JammedPrefix %d outside [0, T=%d]", c.JammedPrefix, c.T)
 		}
-		return adversary.NewLowPrefix(c.F, c.JammedPrefix), nil
+		return adversary.NewPrefix(c.F, c.JammedPrefix), nil
 	}
 	adv, err := adversary.New(c.Adversary, c.F, c.T, c.Seed+0xadc)
 	if err != nil {

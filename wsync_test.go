@@ -128,6 +128,8 @@ func TestRunErrors(t *testing.T) {
 		{Nodes: 2, Activation: "nope"},
 		{Nodes: 2, F: 4, T: 1, Adversary: "fixed", JammedPrefix: 3},
 		{Protocol: GoodSamaritan, Nodes: 2, F: 4, T: 3}, // T > F/2
+		{Nodes: -1},
+		{Nodes: 2, F: 4, T: 1, Adversary: "fixed", JammedPrefix: -1},
 	}
 	for i, c := range cases {
 		if _, err := Run(c); err == nil {

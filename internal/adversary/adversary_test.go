@@ -17,27 +17,32 @@ func TestNone(t *testing.T) {
 }
 
 func TestPrefix(t *testing.T) {
-	for _, c := range []struct{ f, t int }{
-		{8, 3},
-		{16, 3}, // t' = 3 below a larger budget: the good-execution jammer
-	} {
-		a := NewPrefix(c.f, c.t)
-		s := a.Disrupt(1, nil)
-		if s.Len() != c.t {
-			t.Fatalf("NewPrefix(%d, %d): Len = %d", c.f, c.t, s.Len())
+	a := NewPrefix(8, 3)
+	s := a.Disrupt(1, nil)
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	for f := 1; f <= 3; f++ {
+		if !s.Contains(f) {
+			t.Fatalf("prefix missing %d", f)
 		}
-		for f := 1; f <= c.t; f++ {
-			if !s.Contains(f) {
-				t.Fatalf("NewPrefix(%d, %d): prefix missing %d", c.f, c.t, f)
-			}
-		}
-		if s.Contains(c.t + 1) {
-			t.Fatalf("NewPrefix(%d, %d): prefix contains %d", c.f, c.t, c.t+1)
-		}
-		// Same set every round.
-		if !a.Disrupt(99, nil).Equal(s) {
-			t.Fatalf("NewPrefix(%d, %d): prefix varies across rounds", c.f, c.t)
-		}
+	}
+	if s.Contains(4) {
+		t.Fatal("prefix contains 4")
+	}
+	// Same set every round.
+	if !a.Disrupt(99, nil).Equal(s) {
+		t.Fatal("prefix varies across rounds")
+	}
+}
+
+// TestLowPrefix pins the good-execution jammer: t' = 3 below a larger
+// frequency budget is the same prefix jammer, built by NewPrefix.
+func TestLowPrefix(t *testing.T) {
+	a := NewPrefix(16, 3)
+	s := a.Disrupt(4, nil)
+	if s.Len() != 3 || !s.Contains(1) || !s.Contains(3) || s.Contains(4) {
+		t.Fatalf("low prefix = %v", s.Slice())
 	}
 }
 

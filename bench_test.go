@@ -472,14 +472,9 @@ func BenchmarkX7Multihop(b *testing.B) {
 }
 
 // BenchmarkMultihopThroughput measures the multi-hop engine in node-rounds
-// per second over the X7 topology shapes, each workload once under the
-// frequency-indexed medium path (the Config.Medium zero value) and once
-// under the legacy per-receiver neighbor scan, so the indexed/scan ratio
-// per shape IS the speedup. The schedule trickles the nodes in (the -full
-// sweep tier's shape): the scan path walks all N schedule slots and every
-// listener's full neighborhood each round, while the indexed path touches
-// only awake nodes and pushes each transmission to its listening neighbors —
-// the acceptance bar is a measurable node-rounds/s win on RGG at N ≥ 1024.
+// per second over the X7 topology shapes. The schedule trickles the nodes
+// in (the -full sweep tier's shape), so a round touches only the awake
+// nodes and each transmission is pushed to its listening neighbors.
 func BenchmarkMultihopThroughput(b *testing.B) {
 	p := trapdoor.Params{N: 64, F: 24, T: 2}
 	shapes := []struct {
@@ -491,44 +486,33 @@ func BenchmarkMultihopThroughput(b *testing.B) {
 		{"rgg-1024", multihop.RandomGeometricConnected(1024, 0.07, 7)},
 		{"rgg-4096", multihop.RandomGeometricConnected(4096, 0.04, 7)},
 	}
-	mediums := []struct {
-		name   string
-		medium sim.MediumPath
-	}{
-		{"indexed", sim.MediumIndexed},
-		{"scan", sim.MediumScan},
-	}
 	for _, c := range shapes {
 		c := c
-		for _, m := range mediums {
-			m := m
-			b.Run(m.name+"/"+c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var nodeRounds uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := multihop.Run(&multihop.Config{
-						F: p.F, T: p.T,
-						Seed:     uint64(i),
-						Topology: c.topo,
-						NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-							return multihop.MustNewRelay(p, r)
-						},
-						Schedule:  sim.Staggered{Count: c.topo.N(), Gap: 2},
-						Adversary: adversary.NewRandom(p.F, p.T, uint64(i)+3),
-						MaxRounds: 2048,
-						RunToMax:  true,
-						Medium:    m.medium,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodeRounds += res.NodeRounds
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var nodeRounds uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := multihop.Run(&multihop.Config{
+					F: p.F, T: p.T,
+					Seed:     uint64(i),
+					Topology: c.topo,
+					NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+						return multihop.MustNewRelay(p, r)
+					},
+					Schedule:  sim.Staggered{Count: c.topo.N(), Gap: 2},
+					Adversary: adversary.NewRandom(p.F, p.T, uint64(i)+3),
+					MaxRounds: 2048,
+					RunToMax:  true,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(nodeRounds)/b.Elapsed().Seconds(), "node-rounds/s")
-			})
-		}
+				nodeRounds += res.NodeRounds
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(nodeRounds)/b.Elapsed().Seconds(), "node-rounds/s")
+		})
 	}
 }
 
@@ -581,18 +565,13 @@ func BenchmarkRunnerScaling(b *testing.B) {
 
 // BenchmarkEngineThroughput measures raw simulator speed in node-rounds
 // per second (node-rounds = Σ over rounds of awake nodes, counted by the
-// engine). It is the tracked regression metric of the medium resolvers:
-// each workload runs once under the frequency-indexed fast path
-// (Config.Medium zero value) and once under the legacy O(F + N) scan
-// oracle, so the indexed/scan ratio per workload IS the speedup.
+// engine), the tracked regression metric of the medium resolver.
 //
 //   - dense/F=8: the historical workload — every node awake from round 1
-//     on a narrow band. The indexed path's win here is skipping the
-//     per-round frequency sweep and schedule-slot scans.
+//     on a narrow band.
 //   - sparse/F=128: the -full sweep tier's shape — a wide band and a large
 //     schedule whose nodes trickle in, so the awake population is a small
-//     fraction of N and F. This is where O(active) resolution separates
-//     from O(F + N) scanning (the acceptance bar is ≥ 2× at F=128).
+//     fraction of N and F, and a round costs O(active), not O(F + N).
 func BenchmarkEngineThroughput(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -603,45 +582,34 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		{"dense/F=8", 8, 2, sim.Simultaneous{Count: 128}, 2000},
 		{"sparse/F=128", 128, 2, sim.Staggered{Count: 8192, Gap: 64}, 4096},
 	}
-	mediums := []struct {
-		name   string
-		medium sim.MediumPath
-	}{
-		{"indexed", sim.MediumIndexed},
-		{"scan", sim.MediumScan},
-	}
 	for _, c := range cases {
 		c := c
-		for _, m := range mediums {
-			m := m
-			b.Run(m.name+"/"+c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var nodeRounds uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cfg := &sim.Config{
-						F:    c.f,
-						T:    c.t,
-						Seed: uint64(i),
-						NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-							return baseline.NewWakeup(256, c.f, r)
-						},
-						Schedule:       c.schedule,
-						Adversary:      adversary.NewRandom(c.f, c.t, uint64(i)),
-						MaxRounds:      c.rounds,
-						RunToMaxRounds: true,
-						Medium:         m.medium,
-					}
-					res, err := sim.Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodeRounds += res.Stats.NodeRounds
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var nodeRounds uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := &sim.Config{
+					F:    c.f,
+					T:    c.t,
+					Seed: uint64(i),
+					NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+						return baseline.NewWakeup(256, c.f, r)
+					},
+					Schedule:       c.schedule,
+					Adversary:      adversary.NewRandom(c.f, c.t, uint64(i)),
+					MaxRounds:      c.rounds,
+					RunToMaxRounds: true,
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(nodeRounds)/b.Elapsed().Seconds(), "node-rounds/s")
-			})
-		}
+				res, err := sim.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodeRounds += res.Stats.NodeRounds
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(nodeRounds)/b.Elapsed().Seconds(), "node-rounds/s")
+		})
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"wsync/internal/medium"
 	"wsync/internal/msg"
 	"wsync/internal/multihop"
 	"wsync/internal/rendezvous"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
+	"wsync/internal/simtest"
 )
 
 // churnAgent takes random actions, synchronizes after a drawn number of
@@ -47,9 +49,10 @@ func (a *churnAgent) Output() sim.Output {
 func (a *churnAgent) IsLeader() bool { return a.leader }
 
 // recordingModel forwards a Model's deltas while folding them into its
-// own edge-set oracle, re-checking the strict delta contract with test
-// context. After a run the set is the evolved graph, independently
-// derived on the delta and rebuild runs and compared between them.
+// own edge set, re-checking the strict delta contract with test context.
+// After a run the set is the evolved graph, independently derived on the
+// delta and rebuild runs and compared between them; during a rebuilt run
+// it is the graph the round resolves on.
 type recordingModel struct {
 	t     *testing.T
 	inner Model
@@ -83,38 +86,108 @@ func (m *recordingModel) Deltas(r uint64) (add, remove []multihop.Edge) {
 	return add, remove
 }
 
-// runChurned executes one churned run and returns the Result, every
-// node's reception log, and the independently folded final edge set.
-func runChurned(t *testing.T, mk func() Model, f int, seed, maxRounds uint64, runToMax, rebuild bool) (*multihop.Result, [][]uint64, map[uint64]struct{}) {
-	t.Helper()
-	model := mk()
-	rec := newRecording(t, model)
-	topo := model.Topology()
-	agents := make([]*churnAgent, topo.N())
-	res, err := multihop.Run(&multihop.Config{
-		F:        f,
-		Seed:     seed,
-		Topology: topo,
-		NewAgent: func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
-			a := newChurnAgent(r, f)
-			agents[id] = a
-			return a
-		},
-		MaxRounds:    maxRounds,
-		RunToMax:     runToMax,
-		Churn:        rec,
-		ChurnRebuild: rebuild,
-	})
-	if err != nil {
-		t.Fatal(err)
+// newAgents returns a NewAgent that builds churn agents into agents.
+func newAgents(f int, agents []*churnAgent) func(sim.NodeID, uint64, *rng.Rand) sim.Agent {
+	return func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
+		a := newChurnAgent(r, f)
+		agents[id] = a
+		return a
 	}
+}
+
+// logs collects every node's reception log (nil for nodes never built).
+func logs(agents []*churnAgent) [][]uint64 {
 	heard := make([][]uint64, len(agents))
 	for i, a := range agents {
 		if a != nil {
 			heard[i] = a.heard
 		}
 	}
-	return res, heard, rec.set
+	return heard
+}
+
+// runChurned executes one churned run through the multihop driver, which
+// patches its topology in place, and returns the Result, every node's
+// reception log, and the independently folded final edge set.
+func runChurned(t *testing.T, mk func() Model, f int, seed, maxRounds uint64, runToMax bool) (*multihop.Result, [][]uint64, map[uint64]struct{}) {
+	t.Helper()
+	model := mk()
+	rec := newRecording(t, model)
+	topo := model.Topology()
+	agents := make([]*churnAgent, topo.N())
+	res, err := multihop.Run(&multihop.Config{
+		F:         f,
+		Seed:      seed,
+		Topology:  topo,
+		NewAgent:  newAgents(f, agents),
+		MaxRounds: maxRounds,
+		RunToMax:  runToMax,
+		Churn:     rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, logs(agents), rec.set
+}
+
+// runRebuilt executes runChurned's run on the round core directly:
+// sim.RunGraph with a graph hook that folds the recorded deltas into an
+// edge set and builds each churned round's graph afresh from it with
+// multihop.NewTopologyFromEdges. A simtest.Oracle checks every round
+// against the reception rule on that same graph; its verdict is the
+// returned error. The run is projected onto multihop.Result the way the
+// driver projects its own.
+func runRebuilt(t *testing.T, mk func() Model, f int, seed, maxRounds uint64, runToMax bool) (*multihop.Result, [][]uint64, map[uint64]struct{}, error) {
+	t.Helper()
+	model := mk()
+	rec := newRecording(t, model)
+	graph := model.Topology()
+	n := graph.N()
+	var rounds, edgeOps uint64
+	graphAt := func(r uint64) medium.Graph {
+		if r < 2 {
+			return graph
+		}
+		add, remove := rec.Deltas(r)
+		if len(add) == 0 && len(remove) == 0 {
+			return graph
+		}
+		edges := make([]multihop.Edge, 0, len(rec.set))
+		for key := range rec.set {
+			edges = append(edges, keyEdge(key))
+		}
+		graph = multihop.NewTopologyFromEdges(n, edges)
+		rounds++
+		edgeOps += uint64(len(add) + len(remove))
+		return graph
+	}
+	oracle := &simtest.Oracle{Graph: func(uint64) medium.Graph { return graph }}
+	agents := make([]*churnAgent, n)
+	s, err := sim.RunGraph(&sim.Config{
+		F:              f,
+		Seed:           seed,
+		NewAgent:       newAgents(f, agents),
+		Schedule:       sim.Simultaneous{Count: n},
+		MaxRounds:      maxRounds,
+		RunToMaxRounds: runToMax,
+		Observers:      []sim.Observer{oracle},
+	}, graph, graphAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &multihop.Result{
+		Rounds:       s.Stats.Rounds,
+		NodeRounds:   s.Stats.NodeRounds,
+		AllSynced:    s.AllSynced,
+		SyncRound:    s.SyncRound,
+		Leaders:      s.Leaders,
+		Deliveries:   s.Stats.Deliveries,
+		Collisions:   s.Stats.Collisions,
+		HitMaxRounds: s.Stats.Rounds == maxRounds && !s.AllSynced,
+		ChurnRounds:  rounds,
+		ChurnEdges:   edgeOps,
+	}
+	return res, logs(agents), rec.set, oracle.CheckResult(s)
 }
 
 // diffChurn describes the first divergence between the two runs, or "".
@@ -212,10 +285,13 @@ func drawCase(r *rng.Rand) (string, func() Model) {
 }
 
 // TestChurnDeltaMatchesRebuild is the family's headline invariant: a
-// churned run must be byte-identical whether the engine evolves the graph
-// via in-place delta mutations or rebuilds it from scratch every churned
-// round. Randomized mobility traces, seeds, and model kinds; the heavy
-// subcase pushes a waypoint sweep to N=1024.
+// churned run must be byte-identical whether the multihop driver evolves
+// the graph via in-place delta mutations or the graph is rebuilt from
+// scratch every churned round (runRebuilt), and the rebuilt run must
+// match the brute-force reception rule in every round. The delta run has
+// no observer, so the pair also covers the core's no-record path.
+// Randomized mobility traces, seeds, and model kinds; the heavy subcase
+// pushes a waypoint sweep to N=1024.
 func TestChurnDeltaMatchesRebuild(t *testing.T) {
 	master := rng.New(0x6368)
 	cases := 40
@@ -230,8 +306,11 @@ func TestChurnDeltaMatchesRebuild(t *testing.T) {
 		seed := r.Uint64()
 		maxRounds := uint64(r.IntRange(40, 120))
 		runToMax := r.Bool()
-		deltaRes, deltaHeard, deltaSet := runChurned(t, mk, f, seed, maxRounds, runToMax, false)
-		rebRes, rebHeard, rebSet := runChurned(t, mk, f, seed, maxRounds, runToMax, true)
+		deltaRes, deltaHeard, deltaSet := runChurned(t, mk, f, seed, maxRounds, runToMax)
+		rebRes, rebHeard, rebSet, err := runRebuilt(t, mk, f, seed, maxRounds, runToMax)
+		if err != nil {
+			t.Fatalf("case %d (%s F=%d rounds=%d): rebuilt run vs the rule: %v", c, label, f, maxRounds, err)
+		}
 		if d := diffChurn(deltaRes, rebRes, deltaHeard, rebHeard, deltaSet, rebSet); d != "" {
 			t.Fatalf("case %d (%s F=%d rounds=%d): delta vs rebuild divergence: %s",
 				c, label, f, maxRounds, d)
@@ -245,13 +324,68 @@ func TestChurnDeltaMatchesRebuild(t *testing.T) {
 		return
 	}
 	mk := func() Model { return NewWaypoint(1024, 0.06, 0.01, 128, 0xbeef) }
-	deltaRes, deltaHeard, deltaSet := runChurned(t, mk, 8, 0xfeed, 60, true, false)
-	rebRes, rebHeard, rebSet := runChurned(t, mk, 8, 0xfeed, 60, true, true)
+	deltaRes, deltaHeard, deltaSet := runChurned(t, mk, 8, 0xfeed, 60, true)
+	rebRes, rebHeard, rebSet, err := runRebuilt(t, mk, 8, 0xfeed, 60, true)
+	if err != nil {
+		t.Fatalf("waypoint-1024: rebuilt run vs the rule: %v", err)
+	}
 	if d := diffChurn(deltaRes, rebRes, deltaHeard, rebHeard, deltaSet, rebSet); d != "" {
 		t.Fatalf("waypoint-1024: delta vs rebuild divergence: %s", d)
 	}
 	if deltaRes.ChurnRounds == 0 {
 		t.Fatal("waypoint-1024 never churned")
+	}
+}
+
+// reversed emits its model's deltas with each round's add and remove
+// slices in reverse order, and counts the rounds where that reorders
+// anything.
+type reversed struct {
+	Model
+	add, remove []multihop.Edge
+	reordered   int
+}
+
+func (m *reversed) Deltas(r uint64) (add, remove []multihop.Edge) {
+	add, remove = m.Model.Deltas(r)
+	if len(add) > 1 || len(remove) > 1 {
+		m.reordered++
+	}
+	m.add, m.remove = m.add[:0], m.remove[:0]
+	for i := len(add) - 1; i >= 0; i-- {
+		m.add = append(m.add, add[i])
+	}
+	for i := len(remove) - 1; i >= 0; i-- {
+		m.remove = append(m.remove, remove[i])
+	}
+	return m.add, m.remove
+}
+
+// TestChurnDeltaOrderIndependent pins that a run does not depend on the
+// order of a round's deltas: with each round's add and remove slices
+// reversed, the waypoint, flip and partition models give the same Result
+// and every node the same reception log.
+func TestChurnDeltaOrderIndependent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() Model
+	}{
+		{"waypoint", func() Model { return NewWaypoint(160, 0.2, 0.03, 80, 11) }},
+		{"flip", func() Model { return NewFlip(multihop.Grid(6, 6), 0.2, 12) }},
+		{"partition", func() Model { return NewPartition(multihop.Grid(6, 6), 8, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, heard, set := runChurned(t, tc.mk, 6, 5, 120, true)
+			var rev *reversed
+			mkRev := func() Model { rev = &reversed{Model: tc.mk()}; return rev }
+			revRes, revHeard, revSet := runChurned(t, mkRev, 6, 5, 120, true)
+			if d := diffChurn(res, revRes, heard, revHeard, set, revSet); d != "" {
+				t.Fatalf("reversed deltas diverge: %s", d)
+			}
+			if rev.reordered == 0 {
+				t.Fatal("no round had two adds or two removes; the reversal reordered nothing")
+			}
+		})
 	}
 }
 

@@ -11,11 +11,12 @@
 // The multihop engine applies those deltas to its private topology clone
 // in place — O(delta) sorted-adjacency patches via Topology.InsertEdge
 // and DeleteEdge, allocation-free at steady state — and swaps the result
-// into the medium resolver with SetGraph. The rebuild oracle
-// (multihop.Config.ChurnRebuild) instead reconstructs the graph from
-// scratch every churned round; TestChurnDeltaMatchesRebuild pins the two
-// paths byte-identical across randomized mobility traces, which is the
-// family's headline correctness invariant.
+// into the medium resolver with SetGraph. TestChurnDeltaMatchesRebuild
+// replays each run on the round core with a test graph hook that rebuilds
+// every churned round's graph from scratch, checks that run against the
+// brute-force reception rule (internal/simtest) in every round, and pins
+// the two byte-identical across randomized mobility traces: the family's
+// headline correctness invariant.
 //
 // The gallery:
 //

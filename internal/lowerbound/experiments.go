@@ -61,9 +61,9 @@ type TwoNodeResult struct {
 // Theorem 4 proof. The game ends at the first rendezvous.
 //
 // TwoNodeGame is a two-party instance of rendezvous.Run with the Greedy
-// product jammer; TwoNodeGameScan keeps the original private loop as the
-// differential oracle. Both produce bit-identical meeting rounds
-// (TestTwoNodeGameMatchesScan).
+// product jammer. The original private loop survives in this package's
+// tests as the differential oracle; the two produce bit-identical meeting
+// rounds (TestTwoNodeGameMatchesScan).
 func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
 	if maxRounds == 0 {
 		return TwoNodeResult{}
@@ -79,63 +79,11 @@ func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed u
 		Seed:      seed,
 	})
 	if err != nil {
-		// The wrapper constructs a valid config for every input the scan
-		// loop accepted; a failure here is a programming error.
+		// The wrapper constructs a valid config for every input the
+		// original loop accepted; a failure here is a programming error.
 		panic(fmt.Sprintf("lowerbound: two-node game: %v", err))
 	}
 	return TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0}
-}
-
-// TwoNodeGameScan is the pre-engine implementation of TwoNodeGame, kept as
-// the differential oracle for rendezvous.Run on the round core (the same
-// role sim.MediumScan plays for the frequency-indexed medium). Its greedy
-// rescan — t passes over [1..F], each blocking the first unblocked channel
-// of strictly highest product — is now the only copy of that loop in the
-// program: rendezvous.Greedy and the history-reading jammers select
-// through freqset.TopT instead. It must stay bit-identical to
-// TwoNodeGame, which TestTwoNodeGameMatchesScan pins.
-func TwoNodeGameScan(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
-	r := rng.New(seed)
-	ru := r.Split(1)
-	rv := r.Split(2)
-
-	products := make([]float64, f+1)
-	disrupted := make([]bool, f+1)
-
-	for i := uint64(1); i <= maxRounds; i++ {
-		uLocal := offset + i // u has been awake for offset rounds already
-		vLocal := i
-
-		du, dv := u.Dist(uLocal), v.Dist(vLocal)
-		bu, bv := u.TxProb(uLocal), v.TxProb(vLocal)
-
-		// Greedy adversary: block the t largest p_j·q_j products.
-		for j := 1; j <= f; j++ {
-			products[j] = du.Prob(j) * dv.Prob(j)
-			disrupted[j] = false
-		}
-		for k := 0; k < t; k++ {
-			best, bestVal := 0, -1.0
-			for j := 1; j <= f; j++ {
-				if !disrupted[j] && products[j] > bestVal {
-					best, bestVal = j, products[j]
-				}
-			}
-			if best == 0 {
-				break
-			}
-			disrupted[best] = true
-		}
-
-		fu := du.Sample(ru)
-		fv := dv.Sample(rv)
-		txu := ru.Bernoulli(bu)
-		txv := rv.Bernoulli(bv)
-		if fu == fv && txu != txv && !disrupted[fu] {
-			return TwoNodeResult{Rounds: i, Met: true}
-		}
-	}
-	return TwoNodeResult{}
 }
 
 // BestUniformWidth plays the two-node game with UniformRegular{M, 1/2}

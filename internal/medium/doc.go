@@ -31,11 +31,11 @@
 // under the old one — which is the hook dynamic-topology
 // experiments (nodes moving, edges churning per round) build on.
 //
-// The round core keeps legacy full-scan resolvers for the complete graph
-// and for explicit graphs as differential oracles (sim.MediumScan, also
-// reachable through multihop's Config.Medium knob); the indexed path must
-// stay bit-identical to them in every observable, which
-// TestMediumDifferential (internal/sim) and TestMultihopMediumDifferential
-// (internal/multihop) assert over randomized topologies, schedules, and
-// adversaries.
+// This resolver is the round core's only medium path. Its reference is
+// the brute-force reception rule in internal/simtest, which only tests
+// import: TestMediumDifferential (internal/sim) and
+// TestMultihopMediumDifferential (internal/multihop) check every round's
+// deliveries, clear frequencies and counts against it over randomized
+// topologies, schedules, and adversaries, and FuzzResolverReceive checks
+// Receive against a per-listener scan.
 package medium

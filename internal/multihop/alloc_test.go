@@ -155,8 +155,8 @@ func roundAllocs(t *testing.T, warm uint64, mk func(maxRounds uint64) *Config) f
 	return (run(warm+window) - run(warm)) / window
 }
 
-// TestSteadyStateAllocs drives multi-hop runs past warm-up on both medium
-// paths and on a churned grid and requires zero allocations per round —
+// TestSteadyStateAllocs drives multi-hop runs past warm-up on a static
+// and on a churned grid and requires zero allocations per round —
 // the multi-hop half of the zero-alloc hot-path contract. The white-box
 // pins of the round core itself live in internal/sim; this one adds the
 // driver: config translation happens once per run, and a churned round's
@@ -167,12 +167,11 @@ func roundAllocs(t *testing.T, warm uint64, mk func(maxRounds uint64) *Config) f
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name     string
-		m        sim.MediumPath
 		churn    bool
 		adaptive bool
-	}{{name: "indexed", m: sim.MediumIndexed}, {name: "scan", m: sim.MediumScan},
-		{name: "churned", m: sim.MediumIndexed, churn: true},
-		{name: "adaptive", m: sim.MediumIndexed, adaptive: true}} {
+	}{{name: "indexed"},
+		{name: "churned", churn: true},
+		{name: "adaptive", adaptive: true}} {
 		t.Run(path.name, func(t *testing.T) {
 			for _, jammer := range allocJammers {
 				if path.adaptive && jammer.blind {
@@ -192,7 +191,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 							Adversary: allocJammer(f, jam, jammer.blind),
 							MaxRounds: maxRounds,
 							RunToMax:  true,
-							Medium:    path.m,
 						}
 						if path.churn {
 							cfg.Churn = newAllocFlip(cfg.Topology, 0.2, 123)

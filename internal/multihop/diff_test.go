@@ -2,20 +2,24 @@ package multihop
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"wsync/internal/adversary"
+	"wsync/internal/freqset"
+	"wsync/internal/medium"
 	"wsync/internal/msg"
 	"wsync/internal/rng"
 	"wsync/internal/sim"
+	"wsync/internal/simtest"
 )
 
-// diff_test.go differentially tests the two multi-hop medium resolvers:
-// the legacy per-receiver neighbor scan (sim.MediumScan) is the oracle,
-// the frequency-indexed transmitter-side push (sim.MediumIndexed, the
-// default) the implementation under test. Every Result field and every
-// delivered message must be bit-identical over randomized topologies,
-// schedules, and adversaries.
+// diff_test.go checks the graph resolve path, through this driver,
+// against the brute-force reception rule (internal/simtest) in every
+// round of randomized topologies, schedules, adversaries and churn. Each
+// checked run has an unobserved twin that must return the identical
+// Result and reception logs: attaching the oracle switches record
+// building on, so the twin keeps the no-record path covered.
 
 // diffAgent takes random actions, synchronizes after a drawn number of
 // receptions, and logs everything it hears. Its behavior is a pure
@@ -113,6 +117,14 @@ type testChurn struct {
 	rem   []Edge
 }
 
+// edgeKey normalizes an undirected edge into a comparable map key.
+func edgeKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
 func newTestChurn(topo *Topology, seed uint64) *testChurn {
 	c := &testChurn{r: rng.New(seed), n: topo.N(), edges: map[uint64]struct{}{}}
 	for _, e := range topo.AppendEdges(nil) {
@@ -155,21 +167,59 @@ draw:
 	return c.add, c.rem
 }
 
-// diffRun executes one configuration under the given medium path and
-// returns the result plus every agent's reception log. Stateful
-// collaborators (adversary, churn model) are constructed fresh per run via
-// the factories; either may be nil.
-func diffRun(t *testing.T, cfg Config, mkAdv func() sim.Adversary, mkChurn func() ChurnModel,
-	medium sim.MediumPath) (*Result, [][]uint64) {
+// topology returns the graph the model has emitted so far: its base
+// graph with every delta folded in.
+func (c *testChurn) topology() *Topology {
+	edges := make([]Edge, 0, len(c.edges))
+	for key := range c.edges {
+		edges = append(edges, Edge{A: int(key >> 32), B: int(key & (1<<32 - 1))})
+	}
+	return NewTopologyFromEdges(c.n, edges)
+}
+
+// diffRun executes one configuration with a simtest.Oracle attached, and
+// an unobserved twin of it. It returns the checked run's result and every
+// agent's reception log, and an error for the first divergence from the
+// rule or between the two runs. Stateful collaborators (adversary, churn
+// model) are constructed fresh per run via the factories; either may be
+// nil.
+func diffRun(t *testing.T, cfg Config, mkAdv func() sim.Adversary, mkChurn func() *testChurn) (*Result, [][]uint64, error) {
 	t.Helper()
-	agents := make([]*diffAgent, cfg.Topology.N())
-	cfg.Medium = medium
+	twin := cfg
+	twin.Observers = nil
+	oracle := &simtest.Oracle{Graph: func(uint64) medium.Graph { return cfg.Topology }}
 	if mkAdv != nil {
-		cfg.Adversary = mkAdv()
+		cfg.Adversary, twin.Adversary = mkAdv(), mkAdv()
+		oracle.Jam, _ = cfg.Adversary.(sim.ListenerDisrupter)
 	}
 	if mkChurn != nil {
-		cfg.Churn = mkChurn()
+		ch := mkChurn()
+		cfg.Churn, twin.Churn = ch, mkChurn()
+		oracle.Graph = func(uint64) medium.Graph { return ch.topology() }
 	}
+	cfg.Observers = append(cfg.Observers[:len(cfg.Observers):len(cfg.Observers)], oracle)
+	res, heard := runLogged(t, cfg)
+	twinRes, twinHeard := runLogged(t, twin)
+	s := oracle.Stats()
+	switch {
+	case oracle.Err() != nil:
+		return res, heard, oracle.Err()
+	case s.Rounds != res.Rounds || s.NodeRounds != res.NodeRounds ||
+		s.Deliveries != res.Deliveries || s.Collisions != res.Collisions:
+		return res, heard, fmt.Errorf("result %+v, the rule's totals %+v", res, s)
+	case !reflect.DeepEqual(res, twinRes):
+		return res, heard, fmt.Errorf("the unobserved twin differs:\nobserved: %+v\ntwin:     %+v", res, twinRes)
+	case !reflect.DeepEqual(heard, twinHeard):
+		return res, heard, fmt.Errorf("the unobserved twin's reception logs differ")
+	}
+	return res, heard, nil
+}
+
+// runLogged executes one run and returns the result plus every agent's
+// reception log.
+func runLogged(t *testing.T, cfg Config) (*Result, [][]uint64) {
+	t.Helper()
+	agents := make([]*diffAgent, cfg.Topology.N())
 	cfg.NewAgent = func(id sim.NodeID, activation uint64, r *rng.Rand) sim.Agent {
 		a := newDiffAgent(r, cfg.F)
 		agents[id] = a
@@ -179,54 +229,11 @@ func diffRun(t *testing.T, cfg Config, mkAdv func() sim.Adversary, mkChurn func(
 	if err != nil {
 		t.Fatal(err)
 	}
-	heard := make([][]uint64, len(agents))
-	for i, a := range agents {
-		if a != nil {
-			heard[i] = a.heard
-		}
-	}
-	return res, heard
+	return res, agentLogs(agents)
 }
 
-// diffResults describes the first divergence between two runs, or "".
-func diffResults(a, b *Result, heardA, heardB [][]uint64) string {
-	switch {
-	case a.Rounds != b.Rounds:
-		return fmt.Sprintf("Rounds %d vs %d", a.Rounds, b.Rounds)
-	case a.NodeRounds != b.NodeRounds:
-		return fmt.Sprintf("NodeRounds %d vs %d", a.NodeRounds, b.NodeRounds)
-	case a.AllSynced != b.AllSynced:
-		return fmt.Sprintf("AllSynced %v vs %v", a.AllSynced, b.AllSynced)
-	case a.Leaders != b.Leaders:
-		return fmt.Sprintf("Leaders %d vs %d", a.Leaders, b.Leaders)
-	case a.Deliveries != b.Deliveries:
-		return fmt.Sprintf("Deliveries %d vs %d", a.Deliveries, b.Deliveries)
-	case a.Collisions != b.Collisions:
-		return fmt.Sprintf("Collisions %d vs %d", a.Collisions, b.Collisions)
-	case a.HitMaxRounds != b.HitMaxRounds:
-		return fmt.Sprintf("HitMaxRounds %v vs %v", a.HitMaxRounds, b.HitMaxRounds)
-	}
-	for i := range a.SyncRound {
-		if a.SyncRound[i] != b.SyncRound[i] {
-			return fmt.Sprintf("SyncRound[%d] %d vs %d", i, a.SyncRound[i], b.SyncRound[i])
-		}
-	}
-	for i := range heardA {
-		if len(heardA[i]) != len(heardB[i]) {
-			return fmt.Sprintf("node %d heard %d vs %d messages", i, len(heardA[i]), len(heardB[i]))
-		}
-		for j := range heardA[i] {
-			if heardA[i][j] != heardB[i][j] {
-				return fmt.Sprintf("node %d reception %d: uid %d vs %d", i, j, heardA[i][j], heardB[i][j])
-			}
-		}
-	}
-	return ""
-}
-
-// TestMultihopMediumDifferential runs the per-receiver scan oracle and the
-// frequency-indexed fast path over randomized configurations and asserts
-// bit-identical results.
+// TestMultihopMediumDifferential runs the graph resolve path under the
+// oracle over randomized configurations, each with an unobserved twin.
 func TestMultihopMediumDifferential(t *testing.T) {
 	master := rng.New(0x4d48)
 	cases := 80
@@ -248,15 +255,61 @@ func TestMultihopMediumDifferential(t *testing.T) {
 			MaxRounds: uint64(r.IntRange(50, 250)),
 			RunToMax:  r.Bool(),
 		}
-		scanRes, scanHeard := diffRun(t, cfg, mkAdv, nil, sim.MediumScan)
-		idxRes, idxHeard := diffRun(t, cfg, mkAdv, nil, sim.MediumIndexed)
-		if d := diffResults(scanRes, idxRes, scanHeard, idxHeard); d != "" {
-			t.Fatalf("case %d (%v F=%d t=%d sched=%T): divergence: %s",
-				c, topo, f, tBudget, cfg.Schedule, d)
+		res, _, err := diffRun(t, cfg, mkAdv, nil)
+		if err != nil {
+			t.Fatalf("case %d (%v F=%d t=%d sched=%T): %v", c, topo, f, tBudget, cfg.Schedule, err)
 		}
-		if scanRes.NodeRounds == 0 {
+		if res.NodeRounds == 0 {
 			t.Fatalf("case %d: NodeRounds not counted", c)
 		}
+	}
+}
+
+// listenerJam jams the low prefix [1..t] network-wide and, per listener,
+// every frequency f with (node + f) divisible by 3. It reads no history.
+type listenerJam struct{ set *freqset.Set }
+
+func (j listenerJam) Disrupt(uint64, *sim.History) *freqset.Set { return j.set }
+func (listenerJam) DisruptedAt(i sim.NodeID, f int) bool        { return (int(i)+f)%3 == 0 }
+func (listenerJam) IgnoresHistory()                             {}
+
+// TestMultihopListenerDisrupter runs the per-listener jamming hook under
+// the oracle, which is told the hook, over randomized topologies and
+// schedules, each with an unobserved twin.
+func TestMultihopListenerDisrupter(t *testing.T) {
+	master := rng.New(0x4c44)
+	var dropped uint64
+	for c := 0; c < 20; c++ {
+		r := master.Split(uint64(c))
+		topo := diffTopology(r)
+		f := r.IntRange(2, 16)
+		tBudget := r.IntRange(0, f/2)
+		prefix := make([]int, tBudget)
+		for i := range prefix {
+			prefix[i] = i + 1
+		}
+		cfg := Config{
+			F:         f,
+			T:         tBudget,
+			Seed:      r.Uint64(),
+			Topology:  topo,
+			Schedule:  diffSchedule(r, topo.N()),
+			MaxRounds: uint64(r.IntRange(50, 250)),
+			RunToMax:  true,
+		}
+		mkAdv := func() sim.Adversary { return listenerJam{freqset.FromSlice(f, prefix)} }
+		hooked, _, err := diffRun(t, cfg, mkAdv, nil)
+		if err != nil {
+			t.Fatalf("case %d (%v F=%d t=%d sched=%T): %v", c, topo, f, tBudget, cfg.Schedule, err)
+		}
+		plain, _, err := diffRun(t, cfg, func() sim.Adversary { return adversary.NewPrefix(f, tBudget) }, nil)
+		if err != nil {
+			t.Fatalf("case %d without the hook: %v", c, err)
+		}
+		dropped += plain.Deliveries - hooked.Deliveries
+	}
+	if dropped == 0 {
+		t.Fatal("the hook never blocked a delivery; the check ran vacuously")
 	}
 }
 

@@ -13,15 +13,16 @@
 // internal/sim's round core (sim.RunGraph): it validates and translates
 // Config into a sim.Config, applies churn deltas to a private clone of the
 // topology from the core's per-round graph hook, and projects the core's
-// result onto Result. On the default path (Config.Medium zero value) a
-// round costs O(active) plus what its transmitters touch: one pass over
-// the awake nodes builds per-frequency transmitter buckets, and each
-// transmitter on a frequency somebody listens on pushes its transmission
-// to its listening neighbors. The complete graph (Clique) is exactly the
-// single-hop model, which TestCliqueMatchesSingleHop and
-// TestMultihopCliqueMatchesSimIndexed pin against sim.Run. The legacy
-// per-receiver full neighbor scan survives behind sim.MediumScan as the
-// differential-testing oracle (TestMultihopMediumDifferential).
+// result onto Result. A round costs O(active) plus what its transmitters
+// touch: one pass over the awake nodes builds per-frequency transmitter
+// buckets, and each transmitter on a frequency somebody listens on pushes
+// its transmission to its listening neighbors. The complete graph
+// (Clique) is exactly the single-hop model, which TestCliqueMatchesSingleHop
+// and TestMultihopCliqueMatchesSimIndexed pin against sim.Run.
+// TestMultihopMediumDifferential checks every round of randomized runs
+// against the per-receiver brute-force rule in internal/simtest, and
+// internal/churn's TestChurnDeltaMatchesRebuild checks the in-place churn
+// deltas against a run that rebuilds each churned round's graph.
 //
 // Topologies cover lines, grids, cliques, and random geometric graphs
 // (RandomGeometric, with RandomGeometricConnected retrying samples until

@@ -80,15 +80,6 @@ type Config struct {
 	// sim.HistoryBlind adversary the core skips all record building;
 	// either way the round loop stays allocation-free.
 	Observers []sim.Observer
-	// Medium selects the medium-resolution path, mirroring sim.Config.
-	// The zero value (sim.MediumIndexed) is the frequency-indexed fast
-	// path: per-round work is O(active) plus the degrees of the
-	// transmitters on frequencies somebody listens on, each pushing its
-	// transmission to its listening neighbors. sim.MediumScan forces the
-	// legacy per-receiver full neighbor scan, retained as the
-	// differential-testing oracle (TestMultihopMediumDifferential asserts
-	// the two paths produce bit-identical Results).
-	Medium sim.MediumPath
 	// NoBatch disables cohort batch-stepping (sim.BatchAgent), forcing
 	// every agent through the per-node Step fallback; results are
 	// bit-identical either way. Mirrors sim.Config.NoBatch.
@@ -99,12 +90,6 @@ type Config struct {
 	// O(delta) per round and allocation-free at steady state — before
 	// the round core resolves the round on it.
 	Churn ChurnModel
-	// ChurnRebuild forces the delta-application oracle: instead of
-	// patching sorted adjacency in place, each churned round rebuilds a
-	// fresh Topology from the accumulated edge set and swaps it in whole.
-	// O(E) per round and allocating — kept only for differential testing
-	// (TestChurnDeltaMatchesRebuild pins the two paths byte-identical).
-	ChurnRebuild bool
 }
 
 // Result reports a multi-hop run.
@@ -121,8 +106,7 @@ type Result struct {
 	HitMaxRounds bool
 	// ChurnRounds counts the rounds whose topology differed from the
 	// previous round's; ChurnEdges totals the edge inserts and removes
-	// applied. Both are zero without Config.Churn and identical across
-	// the delta and rebuild paths (part of the differential contract).
+	// applied. Both are zero without Config.Churn.
 	ChurnRounds uint64
 	ChurnEdges  uint64
 }
@@ -158,7 +142,6 @@ func Run(c *Config) (*Result, error) {
 		MaxRounds:      c.MaxRounds,
 		Observers:      c.Observers,
 		RunToMaxRounds: c.RunToMax,
-		Medium:         c.Medium,
 		NoBatch:        c.NoBatch,
 	}
 	if cfg.Schedule == nil {
@@ -173,12 +156,6 @@ func Run(c *Config) (*Result, error) {
 		// Delta mutations must never reach the caller's topology, which
 		// experiments share across trials.
 		ch.topo = c.Topology.Clone()
-		if c.ChurnRebuild {
-			ch.edges = make(map[uint64]struct{}, ch.topo.EdgeCount())
-			for _, ed := range ch.topo.AppendEdges(nil) {
-				ch.edges[edgeKey(ed.A, ed.B)] = struct{}{}
-			}
-		}
 		graphAt = ch.graphAt
 	}
 	s, err := sim.RunGraph(cfg, ch.topo, graphAt)
@@ -208,27 +185,15 @@ func Run(c *Config) (*Result, error) {
 // churner owns a run's private topology clone and applies the churn
 // model's deltas to it.
 type churner struct {
-	cfg  *Config
-	topo *Topology
-	// edges is the rebuild oracle's edge set (normalized lo<<32|hi keys),
-	// maintained only under Config.ChurnRebuild.
-	edges   map[uint64]struct{}
+	cfg     *Config
+	topo    *Topology
 	rounds  uint64
 	edgeOps uint64
 }
 
-// edgeKey normalizes an undirected edge into a comparable map key.
-func edgeKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
-}
-
 // graphAt advances the topology to round r and returns it: it pulls the
-// model's edge deltas and applies them, either in place (the delta fast
-// path) or via the rebuild oracle. Round 1 is the configured topology;
-// churn starts at round 2.
+// model's edge deltas and applies them in place. Round 1 is the
+// configured topology; churn starts at round 2.
 func (ch *churner) graphAt(r uint64) medium.Graph {
 	if r < 2 {
 		return ch.topo
@@ -237,45 +202,17 @@ func (ch *churner) graphAt(r uint64) medium.Graph {
 	if len(add) == 0 && len(remove) == 0 {
 		return ch.topo
 	}
-	if ch.cfg.ChurnRebuild {
-		ch.rebuild(r, add, remove)
-	} else {
-		for _, ed := range remove {
-			if !ch.topo.DeleteEdge(ed.A, ed.B) {
-				panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
-			}
+	for _, ed := range remove {
+		if !ch.topo.DeleteEdge(ed.A, ed.B) {
+			panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
 		}
-		for _, ed := range add {
-			if !ch.topo.InsertEdge(ed.A, ed.B) {
-				panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
-			}
+	}
+	for _, ed := range add {
+		if !ch.topo.InsertEdge(ed.A, ed.B) {
+			panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
 		}
 	}
 	ch.edgeOps += uint64(len(add) + len(remove))
 	ch.rounds++
 	return ch.topo
-}
-
-// rebuild is the oracle path: the deltas update a plain edge set, and a
-// fresh Topology is constructed from scratch and swapped in whole.
-func (ch *churner) rebuild(r uint64, add, remove []Edge) {
-	for _, ed := range remove {
-		key := edgeKey(ed.A, ed.B)
-		if _, ok := ch.edges[key]; !ok {
-			panic(fmt.Sprintf("multihop: churn removed absent edge (%d, %d) in round %d", ed.A, ed.B, r))
-		}
-		delete(ch.edges, key)
-	}
-	for _, ed := range add {
-		key := edgeKey(ed.A, ed.B)
-		if _, ok := ch.edges[key]; ok {
-			panic(fmt.Sprintf("multihop: churn added present edge (%d, %d) in round %d", ed.A, ed.B, r))
-		}
-		ch.edges[key] = struct{}{}
-	}
-	fresh := newTopology(ch.topo.N())
-	for key := range ch.edges {
-		fresh.addEdge(int(key>>32), int(key&(1<<32-1)))
-	}
-	ch.topo = fresh.finish()
 }

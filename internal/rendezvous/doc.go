@@ -37,7 +37,7 @@
 // masked for the listening party.
 //
 // lowerbound.TwoNodeGame is this driver with two parties and the greedy
-// jammer; the pre-engine loop survives as lowerbound.TwoNodeGameScan, the
-// differential oracle (TestRendezvousMatchesTwoNodeGame pins bit-for-bit
-// equality of meeting rounds).
+// jammer; the pre-engine loop survives in lowerbound's tests as the
+// differential oracle (its TestRendezvousMatchesTwoNodeGame and
+// TestTwoNodeGameMatchesScan pin bit-for-bit equality of meeting rounds).
 package rendezvous

@@ -89,12 +89,13 @@ func NewGreedy(f, t int) *Greedy {
 }
 
 // Block recomputes the products and blocks the T largest through
-// freqset.TopT, which picks exactly what the two-node scan loop of
-// lowerbound.TwoNodeGameScan picks (ties to the lower channel, all
-// channels when T covers the band). Parties multiply into the product row
+// freqset.TopT, which picks exactly what the pre-engine two-node scan
+// loop (kept in lowerbound's tests) picks: ties to the lower channel, all
+// channels when T covers the band. Parties multiply into the product row
 // in index order, so the per-channel float multiplication sequence — and
 // hence the blocked set — is bit-identical to the channel-outer
-// formulation the scan loop uses; TestTwoNodeGameMatchesScan pins both.
+// formulation the scan loop uses; lowerbound's TestTwoNodeGameMatchesScan
+// pins both.
 func (g *Greedy) Block(rd *Round) *freqset.Set {
 	g.set.Clear()
 	for j := 1; j <= rd.F; j++ {

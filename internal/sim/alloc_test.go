@@ -222,8 +222,8 @@ func removeSorted(s []int, x int) []int {
 	return s
 }
 
-// TestSteadyStateAllocs drives the round loop past warm-up on both medium
-// paths and requires exactly zero allocations per round. The churned
+// TestSteadyStateAllocs drives the round loop past warm-up and requires
+// exactly zero allocations per round. The churned
 // variant additionally swaps the resolver's graph every round (complete
 // graph in, nil back out): per-round SetGraph swaps on a live engine are
 // allocation-free once warm. The graph variants run the same core on an
@@ -233,14 +233,12 @@ func removeSorted(s []int, x int) []int {
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, path := range []struct {
 		name  string
-		m     MediumPath
 		churn bool
 		graph bool
-	}{{name: "indexed", m: MediumIndexed}, {name: "scan", m: MediumScan},
-		{name: "churned", m: MediumIndexed, churn: true},
-		{name: "graph-indexed", m: MediumIndexed, graph: true},
-		{name: "graph-scan", m: MediumScan, graph: true},
-		{name: "graph-churned", m: MediumIndexed, graph: true, churn: true}} {
+	}{{name: "indexed"},
+		{name: "churned", churn: true},
+		{name: "graph-indexed", graph: true},
+		{name: "graph-churned", graph: true, churn: true}} {
 		t.Run(path.name, func(t *testing.T) {
 			for _, jammer := range allocJammers {
 				t.Run(jammer.name, func(t *testing.T) {
@@ -254,7 +252,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 						},
 						Adversary:      newAllocAdversary(f, jam, jammer.blind),
 						RunToMaxRounds: true,
-						Medium:         path.m,
 					}
 					cfg.Schedule = Simultaneous{Count: n}
 					var graph medium.Graph

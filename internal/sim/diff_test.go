@@ -7,12 +7,10 @@ import (
 	"wsync/internal/rng"
 )
 
-// diff_test.go differentially tests the two medium resolvers: the legacy
-// O(F + N) scan (MediumScan) is the oracle, the frequency-indexed fast
-// path (MediumIndexed) the implementation under test. Every observable —
-// per-round action, delivery, clear-frequency and output records, the
-// disrupted sets, and the final Result — must be bit-identical over
-// randomized schedules, populations, and adversaries.
+// diff_test.go holds the round-record trace the dispatch-path tests
+// compare, and the ascending-order pin of the recorded actions. The
+// medium resolution itself is checked against the brute-force rule in
+// oracle_test.go.
 
 // traceRecord is a deep copy of one RoundRecord (the engine reuses the
 // record's backing storage, so observers must copy what they retain).
@@ -105,86 +103,6 @@ func intsEqual(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// diffSchedule draws a randomized schedule shape for one differential case.
-func diffSchedule(r *rng.Rand, n int) Schedule {
-	switch r.IntRange(0, 3) {
-	case 0:
-		return Simultaneous{Count: n}
-	case 1:
-		return Staggered{Count: n, Gap: uint64(r.IntRange(1, 5))}
-	case 2:
-		groups := r.IntRange(1, 3)
-		return Burst{Groups: groups, GroupSize: (n + groups - 1) / groups, Gap: uint64(r.IntRange(1, 9))}
-	default:
-		return RandomWindow(n, uint64(r.IntRange(1, 40)), r.Uint64())
-	}
-}
-
-// TestMediumDifferential runs the scan oracle and the indexed fast path
-// over randomized configurations and asserts identical traces and results.
-func TestMediumDifferential(t *testing.T) {
-	master := rng.New(0xd1ff)
-	cases := 60
-	if testing.Short() {
-		cases = 20
-	}
-	for c := 0; c < cases; c++ {
-		r := master.Split(uint64(c))
-		n := r.IntRange(2, 40)
-		f := r.IntRange(2, 24)
-		tBudget := r.IntRange(0, f-1)
-		seed := r.Uint64()
-		advSeed := r.Uint64()
-		sched := diffSchedule(r, n)
-		probe := r.Bool()
-		runToMax := r.Bool()
-
-		mk := func(medium MediumPath, ob Observer) *Config {
-			cfg := &Config{
-				F:    f,
-				T:    tBudget,
-				Seed: seed,
-				NewAgent: func(id NodeID, activation uint64, rr *rng.Rand) Agent {
-					return &randomAgent{r: rr, f: f}
-				},
-				Schedule:       sched,
-				MaxRounds:      200,
-				RunToMaxRounds: runToMax,
-				ProbeWeights:   probe,
-				Observers:      []Observer{ob},
-				Medium:         medium,
-			}
-			if tBudget > 0 {
-				cfg.Adversary = &randomAdv{f: f, t: tBudget, r: rng.New(advSeed)}
-			}
-			return cfg
-		}
-
-		scanTrace := &traceObserver{}
-		scanRes, err := Run(mk(MediumScan, scanTrace))
-		if err != nil {
-			t.Fatalf("case %d: scan: %v", c, err)
-		}
-		idxTrace := &traceObserver{}
-		idxRes, err := Run(mk(MediumIndexed, idxTrace))
-		if err != nil {
-			t.Fatalf("case %d: indexed: %v", c, err)
-		}
-
-		if d := diffTraces(scanTrace, idxTrace); d != "" {
-			t.Fatalf("case %d (n=%d F=%d t=%d sched=%T): trace divergence: %s",
-				c, n, f, tBudget, sched, d)
-		}
-		if !resultsEqual(scanRes, idxRes) {
-			t.Fatalf("case %d: results differ:\nscan:    %+v\nindexed: %+v",
-				c, scanRes.Stats, idxRes.Stats)
-		}
-		if scanRes.Stats.NodeRounds == 0 {
-			t.Fatalf("case %d: NodeRounds not counted", c)
-		}
-	}
 }
 
 // TestMergeActiveOutOfOrder exercises the merge path of the active list:

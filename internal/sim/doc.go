@@ -35,15 +35,14 @@
 // the adversary is non-nil and not HistoryBlind. Every other run skips
 // record building altogether.
 //
-// Orthogonally to the engine choice, Config.Medium selects how the
-// medium is resolved each round. The default frequency-indexed path —
-// activation buckets, the sorted awake list, and per-frequency indexing
-// from internal/medium — buckets broadcasters and listeners by frequency
-// using only the awake nodes, so a round costs O(active) independent of
-// F and N: the property that makes the -full sweep grids (N up to 16384,
-// F up to 128) tractable. The legacy full-scan resolvers (MediumScan) for
-// the complete graph and for explicit graphs survive as
-// differential-testing oracles; TestMediumDifferential and multihop's
-// TestMultihopMediumDifferential prove the two paths bit-identical in
-// every observable over randomized schedules and topologies.
+// The medium has one resolve path. Activation buckets, the sorted awake
+// list, and per-frequency indexing from internal/medium bucket
+// broadcasters and listeners by frequency using only the awake nodes, so
+// a round costs O(active) independent of F and N: the property that makes
+// the -full sweep grids (N up to 16384, F up to 128) tractable. The
+// brute-force reception rule lives in internal/simtest, which only tests
+// import: its Oracle observer recomputes each round's deliveries and clear
+// frequencies from the round record, and the run's Stats from those.
+// TestMediumDifferential and multihop's TestMultihopMediumDifferential run
+// it over randomized schedules, topologies and adversaries.
 package sim

@@ -44,7 +44,7 @@ type engine struct {
 	batch *batchCohorts
 
 	// Per-node action state in struct-of-arrays layout: the medium
-	// resolvers' classification loops touch only the packed frequency and
+	// resolver's classification loop touches only the packed frequency and
 	// transmit-flag arrays (5 bytes per node instead of a ~100-byte Action
 	// with its embedded message), and the message payload is copied only
 	// for transmitters — a stale actMsg entry is never read, because
@@ -53,7 +53,6 @@ type engine struct {
 	actFreq []int32       // per node: this round's frequency choice
 	actTx   []bool        // per node: transmitting (vs listening) this round
 	actMsg  []msg.Message // per node: payload, valid only for transmitters
-	active  []bool        // per node
 
 	// outs[i] is node i's output this round: stored by the step pass
 	// right after stepping the node, and re-read after Deliver only for
@@ -83,13 +82,6 @@ type engine struct {
 	// entry is never read: deliver reads only the nodes on pendingList.
 	pending     []msg.Message
 	pendingList []int
-
-	// per-frequency scratch (index 1..F) used only by the legacy scan
-	// resolver, which sweeps all of [1..F] every round; the indexed path
-	// keeps its frequency state inside med. Allocated lazily on the first
-	// scan round, so the default indexed path pays no O(F) setup memory.
-	txCount []int
-	txFrom  []NodeID
 
 	emptySet *freqset.Set
 
@@ -125,7 +117,6 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 		actFreq:    make([]int32, n),
 		actTx:      make([]bool, n),
 		actMsg:     make([]msg.Message, n),
-		active:     make([]bool, n),
 		outs:       make([]Output, n),
 		pending:    make([]msg.Message, n),
 		emptySet:   freqset.New(cfg.F),
@@ -168,7 +159,6 @@ func newEngine(cfg *Config, graph medium.Graph) (*engine, error) {
 func (e *engine) activateRound(r uint64) {
 	for _, i := range e.act.Wake(r) {
 		e.hist.Activated[i] = r
-		e.active[i] = true
 		a := e.cfg.NewAgent(NodeID(i), r, &e.agentRNG[i])
 		e.agents[i] = a
 		e.batch.Add(i, a)
@@ -177,9 +167,14 @@ func (e *engine) activateRound(r uint64) {
 
 // resolve applies the medium semantics for round r given the action state
 // of all active nodes, filling e.rec and the pending delivery buffers.
-// disrupted is the adversary's validated set. The two implementations are
-// bit-identical in every observable (records, stats, delivery order); see
-// MediumPath.
+// disrupted is the adversary's validated set. One pass over the awake
+// nodes feeds the shared frequency-indexed resolver (internal/medium). On
+// the complete graph only the frequencies actually touched this round are
+// classified and re-zeroed, at O(active · log active) per round (the log
+// is the touched-frequency sort that keeps Clear ascending) — independent
+// of F and N. On a graph the resolver pushes each transmission to the
+// transmitter's listening neighbors, and each listener reads its own
+// tally. internal/simtest checks both against the brute-force rule.
 func (e *engine) resolve(r uint64, disrupted *freqset.Set) {
 	rec := &e.rec
 	rec.Round = r
@@ -191,120 +186,6 @@ func (e *engine) resolve(r uint64, disrupted *freqset.Set) {
 	e.pendingList = e.pendingList[:0]
 	e.res.Stats.NodeRounds += uint64(len(e.act.Active()))
 
-	if e.cfg.Medium == MediumScan {
-		e.resolveScan(r, disrupted)
-	} else {
-		e.resolveIndexed(r, disrupted)
-	}
-
-	if e.res.FirstClear != 0 && !e.hist.EverClear {
-		e.hist.EverClear = true
-		e.hist.FirstClear = e.res.FirstClear
-	}
-}
-
-// badFreq flags a protocol choosing an out-of-range frequency: a bug in
-// the protocol, surfaced loudly.
-func (e *engine) badFreq(i int, freq int) {
-	panic(fmt.Sprintf("sim: node %d chose frequency %d outside [1..%d]", i, freq, e.cfg.F))
-}
-
-// resolveScan is the legacy medium resolver: every round it zeroes and
-// classifies all F frequency slots and walks all N schedule slots twice
-// (on a graph, each listener walks its whole neighbor list). It is kept
-// verbatim as the differential-testing oracle for the indexed path.
-func (e *engine) resolveScan(r uint64, disrupted *freqset.Set) {
-	rec := &e.rec
-	if e.txCount == nil {
-		e.txCount = make([]int, e.cfg.F+1)
-		e.txFrom = make([]NodeID, e.cfg.F+1)
-	}
-	for f := 1; f <= e.cfg.F; f++ {
-		e.txCount[f] = 0
-	}
-	for i := 0; i < e.n; i++ {
-		if !e.active[i] {
-			continue
-		}
-		f, tx := int(e.actFreq[i]), e.actTx[i]
-		if f < 1 || f > e.cfg.F {
-			e.badFreq(i, f)
-		}
-		if e.record {
-			rec.Actions = append(rec.Actions, ActionRecord{Node: NodeID(i), Freq: f, Transmit: tx})
-		}
-		if tx {
-			e.txCount[f]++
-			e.txFrom[f] = NodeID(i)
-			e.res.Stats.Transmissions++
-		}
-	}
-
-	if e.graph != nil {
-		for i := 0; i < e.n; i++ {
-			if !e.active[i] || e.actTx[i] {
-				continue
-			}
-			f := int(e.actFreq[i])
-			from, count := -1, 0
-			for _, w := range e.graph.Neighbors(i) {
-				if e.active[w] && e.actTx[w] && int(e.actFreq[w]) == f {
-					count++
-					from = w
-				}
-			}
-			switch {
-			case count == 0:
-			case count >= 2:
-				e.res.Stats.Collisions++
-			case disrupted.Contains(f), e.listenJam != nil && e.listenJam.DisruptedAt(NodeID(i), f):
-				// jammed: nothing heard
-			default:
-				e.queueDelivery(i, f, NodeID(from))
-			}
-		}
-		return
-	}
-
-	// Classify frequencies and queue deliveries.
-	for f := 1; f <= e.cfg.F; f++ {
-		switch {
-		case e.txCount[f] == 0:
-		case e.txCount[f] >= 2:
-			e.res.Stats.Collisions++
-		case disrupted.Contains(f):
-			e.res.Stats.DisruptedLosses++
-		default:
-			rec.Clear = append(rec.Clear, f)
-			e.res.Stats.ClearBroadcasts++
-			if e.res.FirstClear == 0 {
-				e.res.FirstClear = r
-			}
-		}
-	}
-
-	// Queue deliveries to listeners on clear single-transmitter channels.
-	for i := 0; i < e.n; i++ {
-		if !e.active[i] || e.actTx[i] {
-			continue
-		}
-		f := int(e.actFreq[i])
-		if e.txCount[f] == 1 && !disrupted.Contains(f) {
-			e.queueDelivery(i, f, e.txFrom[f])
-		}
-	}
-}
-
-// resolveIndexed is the frequency-indexed fast path: one pass over the
-// awake nodes feeds the shared resolver (internal/medium). On the complete
-// graph only the frequencies actually touched this round are classified
-// and re-zeroed, at O(active · log active) per round (the log is the
-// touched-frequency sort that preserves the scan path's ascending Clear
-// order) — independent of F and N. On a graph the resolver pushes each
-// transmission to the transmitter's listening neighbors, and each
-// listener reads its own tally.
-func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
-	rec := &e.rec
 	med := e.med
 	fMax, record := e.cfg.F, e.record
 	var transmissions uint64
@@ -344,9 +225,9 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 		return
 	}
 
-	// Classify the touched frequencies in ascending order, matching the
-	// scan path's [1..F] sweep bit for bit. The branch-free classify
-	// appends clear frequencies to rec.Clear (which is [:0] at entry).
+	// Classify the touched frequencies in ascending order. The
+	// branch-free classify appends clear frequencies to rec.Clear (which
+	// is [:0] at entry).
 	var nCol, nJam int
 	rec.Clear, nCol, nJam = med.ClassifyTouched(disrupted, rec.Clear)
 	e.res.Stats.Collisions += uint64(nCol)
@@ -354,6 +235,8 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 	e.res.Stats.ClearBroadcasts += uint64(len(rec.Clear))
 	if e.res.FirstClear == 0 && len(rec.Clear) > 0 {
 		e.res.FirstClear = r
+		e.hist.EverClear = true
+		e.hist.FirstClear = r
 	}
 
 	// Queue deliveries to listeners on clear single-transmitter channels;
@@ -366,6 +249,12 @@ func (e *engine) resolveIndexed(r uint64, disrupted *freqset.Set) {
 	}
 
 	med.Reset()
+}
+
+// badFreq flags a protocol choosing an out-of-range frequency: a bug in
+// the protocol, surfaced loudly.
+func (e *engine) badFreq(i int, freq int) {
+	panic(fmt.Sprintf("sim: node %d chose frequency %d outside [1..%d]", i, freq, e.cfg.F))
 }
 
 // queueDelivery records the successful reception of frequency f's lone

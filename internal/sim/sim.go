@@ -218,27 +218,6 @@ func (r *Result) SyncLocal(i int) uint64 {
 	return r.SyncRound[i] - r.Activated[i] + 1
 }
 
-// MediumPath selects the implementation the engine uses to resolve the
-// shared medium each round. Both paths implement the identical Section 2
-// semantics and produce bit-identical Results, RoundRecords, and Stats for
-// any Config (TestMediumDifferential asserts this over randomized
-// schedules); they differ only in cost.
-type MediumPath int
-
-const (
-	// MediumIndexed is the default frequency-indexed fast path: each round
-	// it buckets broadcasters and listeners by frequency using only the
-	// nodes that are actually awake, so per-round resolution work is
-	// O(active) instead of O(F + N). This is what makes the -full sweep
-	// grids (N up to 16384, F up to 128) tractable.
-	MediumIndexed MediumPath = iota
-	// MediumScan is the legacy resolver: a full scan over all F
-	// frequencies and all N schedule slots every round. It is retained as
-	// the differential-testing oracle for MediumIndexed and as the
-	// baseline of the BenchmarkEngineThroughput regression metric.
-	MediumScan
-)
-
 // Config describes one simulation.
 type Config struct {
 	// F is the number of frequencies (>= 1).
@@ -278,10 +257,6 @@ type Config struct {
 	// depend only on what actually fits in a radio slot. Encoding failures
 	// panic: a protocol emitting unencodable messages is a bug.
 	WireFidelity bool
-	// Medium selects the medium-resolution path; the zero value is the
-	// frequency-indexed fast path. MediumScan forces the legacy O(F + N)
-	// scan, which exists as a differential-testing oracle.
-	Medium MediumPath
 	// NoBatch disables cohort batch-stepping (BatchAgent), forcing every
 	// agent through the per-node Step fallback. Results are bit-identical
 	// either way (TestBatchStepMatchesPerNode pins this); the flag exists

@@ -33,16 +33,3 @@ func sortEdges(edges []multihop.Edge) {
 		return edges[i].B < edges[j].B
 	})
 }
-
-// edgeKey packs a normalized undirected edge into a comparable key.
-func edgeKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
-}
-
-// keyEdge unpacks edgeKey.
-func keyEdge(key uint64) multihop.Edge {
-	return multihop.Edge{A: int(key >> 32), B: int(key & (1<<32 - 1))}
-}

@@ -48,6 +48,19 @@ func (a *churnAgent) Output() sim.Output {
 
 func (a *churnAgent) IsLeader() bool { return a.leader }
 
+// edgeKey packs a normalized undirected edge into a comparable key.
+func edgeKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// keyEdge unpacks edgeKey.
+func keyEdge(key uint64) multihop.Edge {
+	return multihop.Edge{A: int(key >> 32), B: int(key & (1<<32 - 1))}
+}
+
 // recordingModel forwards a Model's deltas while folding them into its
 // own edge set, re-checking the strict delta contract with test context.
 // After a run the set is the evolved graph, independently derived on the
@@ -242,7 +255,7 @@ func diffChurn(a, b *multihop.Result, heardA, heardB [][]uint64, setA, setB map[
 // builds identical fresh model instances (one per run — models are
 // stateful and drive exactly one run each).
 func drawCase(r *rng.Rand) (string, func() Model) {
-	switch r.IntRange(0, 5) {
+	switch r.IntRange(0, 4) {
 	case 0:
 		w, h := r.IntRange(2, 6), r.IntRange(2, 6)
 		rate, seed := 0.02+r.Float64()*0.3, r.Uint64()
@@ -265,22 +278,12 @@ func drawCase(r *rng.Rand) (string, func() Model) {
 		down := uint64(r.IntRange(1, int(period)-1))
 		return fmt.Sprintf("partition-grid-%dx%d", w, h),
 			func() Model { return NewPartition(multihop.Grid(w, h), period, down) }
-	case 4:
+	default:
 		n, radius, gseed := r.IntRange(8, 48), 0.2+r.Float64()*0.3, r.Uint64()
 		budget := r.IntRange(1, 4)
 		every, heal := uint64(r.IntRange(1, 6)), uint64(r.IntRange(1, 8))
 		return fmt.Sprintf("targeted-rgg-%d", n),
 			func() Model { return NewTargetedCut(multihop.RandomGeometric(n, radius, gseed), budget, every, heal) }
-	default:
-		w, h := r.IntRange(2, 5), r.IntRange(2, 5)
-		rate, fseed := 0.02+r.Float64()*0.3, r.Uint64()
-		period := uint64(r.IntRange(4, 16))
-		down := uint64(r.IntRange(1, int(period)-1))
-		return fmt.Sprintf("compose-grid-%dx%d", w, h),
-			func() Model {
-				base := multihop.Grid(w, h)
-				return NewCompose(NewFlip(base, rate, fseed), NewPartition(base, period, down))
-			}
 	}
 }
 
@@ -503,36 +506,6 @@ func TestTargetedCutMinDegreeFallback(t *testing.T) {
 	want := []multihop.Edge{{A: 0, B: 1}, {A: 1, B: 2}}
 	if len(remove) != 2 || remove[0] != want[0] || remove[1] != want[1] {
 		t.Fatalf("first strike removed %v, want %v (vertex 1's edges, lowest neighbor first)", remove, want)
-	}
-}
-
-// TestComposeRefcounts checks layered-union semantics: an edge held by
-// two layers survives one layer dropping it and vanishes only when the
-// last holder lets go.
-func TestComposeRefcounts(t *testing.T) {
-	base := multihop.Grid(2, 2)
-	// Rate-1 flips toggle every base edge every round, in lockstep across
-	// both layers: counts go 2 -> 0 -> 2, so the union deltas match a
-	// single layer's.
-	c := NewCompose(NewFlip(base, 1, 1), NewFlip(base, 1, 2))
-	if got := c.Topology().EdgeCount(); got != base.EdgeCount() {
-		t.Fatalf("union of identical layers has %d edges, want %d", got, base.EdgeCount())
-	}
-	add, remove := c.Deltas(2)
-	if len(add) != 0 || len(remove) != base.EdgeCount() {
-		t.Fatalf("round 2: add=%d remove=%d, want 0/%d", len(add), len(remove), base.EdgeCount())
-	}
-	add, remove = c.Deltas(3)
-	if len(add) != base.EdgeCount() || len(remove) != 0 {
-		t.Fatalf("round 3: add=%d remove=%d, want %d/0", len(add), len(remove), base.EdgeCount())
-	}
-	// Desynchronize the layers: now one layer always holds every edge, so
-	// the union never changes.
-	c2 := NewCompose(NewFlip(base, 1, 1), NewFlip(base, 0, 2))
-	for r := uint64(2); r <= 6; r++ {
-		if a, rm := c2.Deltas(r); len(a) != 0 || len(rm) != 0 {
-			t.Fatalf("round %d: union changed (add=%d remove=%d) while one layer holds everything", r, len(a), len(rm))
-		}
 	}
 }
 

@@ -37,9 +37,6 @@
 //     minimum cut — bridges (the size-1 cuts) first, then the edges of
 //     the minimum-degree vertex (whose degree upper-bounds the global
 //     min-cut); cut links heal after a fixed outage.
-//   - Compose: layered union of models. An edge is up iff any layer holds
-//     it, so independent hazards (mobility plus a saboteur, flips plus
-//     partitions) stack without coordinating.
 //
 // MaskFlip is the rendezvous-side sibling: it churns the parties'
 // per-channel masks through the rendezvous driver's MaskModel hook, which

@@ -47,97 +47,6 @@ func (u Uniform) Prob(f int) float64 {
 // Max returns Hi.
 func (u Uniform) Max() int { return u.Hi }
 
-// Point is the degenerate distribution concentrated on a single frequency.
-// The single-frequency baseline uses it.
-type Point struct {
-	F int
-}
-
-var _ Dist = Point{}
-
-// Sample returns the fixed frequency.
-func (p Point) Sample(r *rng.Rand) int { return p.F }
-
-// Prob returns 1 at the fixed frequency, 0 elsewhere.
-func (p Point) Prob(f int) float64 {
-	if f == p.F {
-		return 1
-	}
-	return 0
-}
-
-// Max returns the fixed frequency.
-func (p Point) Max() int { return p.F }
-
-// Mixture draws from one of several component distributions with the given
-// weights. The Good Samaritan epochs use a 50/50 mixture of a narrow and a
-// wide uniform range.
-type Mixture struct {
-	components []Dist
-	weights    []float64
-	cumulative []float64
-	max        int
-}
-
-var _ Dist = (*Mixture)(nil)
-
-// NewMixture returns a mixture of the given components with the given
-// weights. Weights must be positive and are normalized to sum to one. It
-// panics on empty or mismatched input; these indicate programming errors in
-// protocol construction, which is done once at node activation.
-func NewMixture(components []Dist, weights []float64) *Mixture {
-	if len(components) == 0 || len(components) != len(weights) {
-		panic("freqdist: mixture needs matching non-empty components and weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w <= 0 {
-			panic("freqdist: mixture weights must be positive")
-		}
-		total += w
-	}
-	m := &Mixture{
-		components: make([]Dist, len(components)),
-		weights:    make([]float64, len(weights)),
-		cumulative: make([]float64, len(weights)),
-	}
-	copy(m.components, components)
-	acc := 0.0
-	for i, w := range weights {
-		m.weights[i] = w / total
-		acc += w / total
-		m.cumulative[i] = acc
-		if components[i].Max() > m.max {
-			m.max = components[i].Max()
-		}
-	}
-	m.cumulative[len(m.cumulative)-1] = 1 // guard against rounding
-	return m
-}
-
-// Sample draws a component by weight, then a frequency from it.
-func (m *Mixture) Sample(r *rng.Rand) int {
-	x := r.Float64()
-	for i, c := range m.cumulative {
-		if x < c {
-			return m.components[i].Sample(r)
-		}
-	}
-	return m.components[len(m.components)-1].Sample(r)
-}
-
-// Prob returns the weighted sum of component probabilities at f.
-func (m *Mixture) Prob(f int) float64 {
-	p := 0.0
-	for i, c := range m.components {
-		p += m.weights[i] * c.Prob(f)
-	}
-	return p
-}
-
-// Max returns the largest frequency any component can produce.
-func (m *Mixture) Max() int { return m.max }
-
 // Special is the Good Samaritan special-round distribution over [1..F]:
 // draw d uniformly from [1..L] where L = ⌈lg F⌉, then draw f uniformly from
 // [1..min(2^d, F)]. Small frequencies are geometrically favored, which lets

@@ -89,66 +89,6 @@ func TestUniformPanics(t *testing.T) {
 	}
 }
 
-func TestPoint(t *testing.T) {
-	p := Point{F: 3}
-	if got := probSum(t, p); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Prob sums to %v", got)
-	}
-	if p.Sample(rng.New(1)) != 3 {
-		t.Fatal("Point sampled wrong value")
-	}
-}
-
-func TestMixture(t *testing.T) {
-	m := NewMixture(
-		[]Dist{NewUniform(1, 2), NewUniform(1, 8)},
-		[]float64{1, 1},
-	)
-	if m.Max() != 8 {
-		t.Fatalf("Max = %d", m.Max())
-	}
-	if got := probSum(t, m); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Prob sums to %v", got)
-	}
-	// f=1: 0.5*0.5 + 0.5*0.125 = 0.3125
-	if got := m.Prob(1); math.Abs(got-0.3125) > 1e-12 {
-		t.Fatalf("Prob(1) = %v, want 0.3125", got)
-	}
-	// f=5: 0.5*0 + 0.5*0.125 = 0.0625
-	if got := m.Prob(5); math.Abs(got-0.0625) > 1e-12 {
-		t.Fatalf("Prob(5) = %v, want 0.0625", got)
-	}
-	checkEmpirical(t, m, 80000)
-}
-
-func TestMixtureNormalizesWeights(t *testing.T) {
-	m := NewMixture([]Dist{NewUniform(1, 1), NewUniform(2, 2)}, []float64{3, 1})
-	if got := m.Prob(1); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Prob(1) = %v, want 0.75", got)
-	}
-}
-
-func TestMixturePanics(t *testing.T) {
-	cases := []struct {
-		name string
-		fn   func()
-	}{
-		{"empty", func() { NewMixture(nil, nil) }},
-		{"mismatch", func() { NewMixture([]Dist{NewUniform(1, 2)}, []float64{1, 2}) }},
-		{"nonpositive", func() { NewMixture([]Dist{NewUniform(1, 2)}, []float64{0}) }},
-	}
-	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: did not panic", c.name)
-				}
-			}()
-			c.fn()
-		}()
-	}
-}
-
 func TestSpecialSmallF(t *testing.T) {
 	s := NewSpecial(1)
 	if s.Sample(rng.New(1)) != 1 {

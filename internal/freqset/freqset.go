@@ -33,9 +33,6 @@ func FromSlice(f int, freqs []int) *Set {
 	return s
 }
 
-// Universe returns F, the number of frequencies the set ranges over.
-func (s *Set) Universe() int { return s.f }
-
 func (s *Set) check(freq int) {
 	if freq < 1 || freq > s.f {
 		panic(fmt.Sprintf("freqset: frequency %d out of universe [1..%d]", freq, s.f))
@@ -46,12 +43,6 @@ func (s *Set) check(freq int) {
 func (s *Set) Add(freq int) {
 	s.check(freq)
 	s.words[(freq-1)/64] |= 1 << uint((freq-1)%64)
-}
-
-// Remove deletes freq from the set.
-func (s *Set) Remove(freq int) {
-	s.check(freq)
-	s.words[(freq-1)/64] &^= 1 << uint((freq-1)%64)
 }
 
 // Contains reports whether freq is in the set. Frequencies outside the
@@ -80,13 +71,6 @@ func (s *Set) Clear() {
 	}
 }
 
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{f: s.f, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
 // Slice returns the members in increasing order.
 func (s *Set) Slice() []int {
 	out := make([]int, 0, s.Len())
@@ -98,40 +82,6 @@ func (s *Set) Slice() []int {
 		}
 	}
 	return out
-}
-
-// Union adds every member of other to s. The universes must match.
-func (s *Set) Union(other *Set) {
-	if s.f != other.f {
-		panic("freqset: universe mismatch in Union")
-	}
-	for i := range s.words {
-		s.words[i] |= other.words[i]
-	}
-}
-
-// Intersect removes every member of s not in other. The universes must
-// match.
-func (s *Set) Intersect(other *Set) {
-	if s.f != other.f {
-		panic("freqset: universe mismatch in Intersect")
-	}
-	for i := range s.words {
-		s.words[i] &= other.words[i]
-	}
-}
-
-// Complement returns the set of frequencies in [1..F] not in s.
-func (s *Set) Complement() *Set {
-	c := New(s.f)
-	for i := range s.words {
-		c.words[i] = ^s.words[i]
-	}
-	// Mask tail bits beyond F.
-	if rem := s.f % 64; rem != 0 && len(c.words) > 0 {
-		c.words[len(c.words)-1] &= (1 << uint(rem)) - 1
-	}
-	return c
 }
 
 // Equal reports whether the two sets have identical universes and members.

@@ -39,12 +39,6 @@ func Theorem4Rounds(f, t, eps float64) float64 {
 	return f * t / (f - t) * math.Log(1/eps)
 }
 
-// Theorem5Rounds evaluates the combined lower bound of Theorem 5 with
-// ε = 1/N.
-func Theorem5Rounds(n, f, t float64) float64 {
-	return Theorem1Rounds(n, f, t) + Theorem4Rounds(f, t, 1/math.Max(n, 2))
-}
-
 // Theorem10Rounds evaluates the Trapdoor Protocol's upper bound
 // O(F/(F−t)·log²N + Ft/(F−t)·logN) without its constant.
 func Theorem10Rounds(n, f, t float64) float64 {

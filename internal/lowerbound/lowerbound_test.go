@@ -31,10 +31,6 @@ func TestBoundEvaluators(t *testing.T) {
 	if !math.IsInf(Theorem4Rounds(8, 2, 0), 1) {
 		t.Error("Theorem4Rounds finite at ε = 0")
 	}
-	// Theorem 5 dominates both parts.
-	if Theorem5Rounds(64, 8, 2) < Theorem1Rounds(64, 8, 2) {
-		t.Error("Theorem5Rounds below Theorem 1 part")
-	}
 	// Theorem 10 grows with t at fixed F.
 	if Theorem10Rounds(64, 8, 6) <= Theorem10Rounds(64, 8, 1) {
 		t.Error("Theorem10Rounds not increasing in t")

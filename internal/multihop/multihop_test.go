@@ -42,6 +42,21 @@ func TestGridTopology(t *testing.T) {
 	}
 }
 
+// Clique returns the complete graph — the single-hop special case, used to
+// validate graph resolution against the single-hop model's semantics.
+func Clique(n int) *Topology {
+	if n < 1 {
+		panic("multihop: Clique needs n >= 1")
+	}
+	t := newTopology(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			t.addEdge(i, j)
+		}
+	}
+	return t.finish()
+}
+
 func TestCliqueTopology(t *testing.T) {
 	c := Clique(6)
 	for i := 0; i < 6; i++ {

@@ -223,21 +223,6 @@ func Grid(w, h int) *Topology {
 	return t.finish()
 }
 
-// Clique returns the complete graph — the single-hop special case, used to
-// validate graph resolution against the single-hop model's semantics.
-func Clique(n int) *Topology {
-	if n < 1 {
-		panic("multihop: Clique needs n >= 1")
-	}
-	t := newTopology(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			t.addEdge(i, j)
-		}
-	}
-	return t.finish()
-}
-
 // RandomGeometric places n nodes uniformly in the unit square and connects
 // pairs within the given radius. Deterministic in seed.
 func RandomGeometric(n int, radius float64, seed uint64) *Topology {

@@ -1,7 +1,6 @@
 // Package obs is the dependency-free observability layer: a metrics
-// registry (counters, gauges, histograms, and their labelled vector
-// forms) with Prometheus text exposition, built for the wsyncd service
-// stack.
+// registry (counters, gauges, labelled gauge families and histograms)
+// with Prometheus text exposition, built for the wsyncd service stack.
 //
 // Design constraints, in order:
 //

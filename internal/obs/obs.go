@@ -40,9 +40,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -213,19 +210,8 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct{ f *family }
-
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct{ f *family }
-
-// CounterVec registers (or returns) the labelled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: CounterVec %q needs labels (use Counter)", name))
-	}
-	return &CounterVec{f: r.register(name, help, kindCounter, append([]string(nil), labels...), nil)}
-}
 
 // GaugeVec registers (or returns) the labelled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
@@ -233,12 +219,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		panic(fmt.Sprintf("obs: GaugeVec %q needs labels (use Gauge)", name))
 	}
 	return &GaugeVec{f: r.register(name, help, kindGauge, append([]string(nil), labels...), nil)}
-}
-
-// With returns the child counter for the given label values (created on
-// first use). The value count must match the registered label names.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // With returns the child gauge for the given label values (created on

@@ -103,13 +103,14 @@ func TestIdempotentRegistration(t *testing.T) {
 		}()
 		reg.Gauge("c_total", "x")
 	}()
+	reg.Gauge("g", "x")
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("label mismatch did not panic")
 			}
 		}()
-		reg.CounterVec("c_total", "x", "worker")
+		reg.GaugeVec("g", "x", "worker")
 	}()
 }
 
@@ -117,12 +118,12 @@ func TestIdempotentRegistration(t *testing.T) {
 // values.
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterVec("esc_total", "x", "v").With("a\"b\\c\nd").Inc()
+	reg.GaugeVec("esc", "x", "v").With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `esc_total{v="a\"b\\c\nd"} 1`) {
+	if !strings.Contains(b.String(), `esc{v="a\"b\\c\nd"} 1`) {
 		t.Errorf("escaping wrong:\n%s", b.String())
 	}
 }
@@ -132,10 +133,9 @@ func TestInvalidRegistrations(t *testing.T) {
 	reg := NewRegistry()
 	for name, fn := range map[string]func(){
 		"bad metric name":     func() { reg.Counter("9bad", "x") },
-		"bad label name":      func() { reg.CounterVec("ok_total", "x", "bad-label") },
+		"bad label name":      func() { reg.GaugeVec("ok", "x", "bad-label") },
 		"empty histogram":     func() { reg.Histogram("h", "x", nil) },
 		"unsorted histogram":  func() { reg.Histogram("h2", "x", []float64{1, 0.5}) },
-		"vec without labels":  func() { reg.CounterVec("v_total", "x") },
 		"gauge vec no labels": func() { reg.GaugeVec("g_total", "x") },
 	} {
 		func() {
@@ -152,7 +152,7 @@ func TestInvalidRegistrations(t *testing.T) {
 // TestWithArityMismatch pins the label-value count check.
 func TestWithArityMismatch(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.CounterVec("arity_total", "x", "a", "b")
+	v := reg.GaugeVec("arity", "x", "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong label arity did not panic")
@@ -168,7 +168,7 @@ func TestConcurrentUse(t *testing.T) {
 	c := reg.Counter("cc_total", "x")
 	g := reg.Gauge("cg", "x")
 	h := reg.Histogram("ch_seconds", "x", []float64{0.5})
-	v := reg.CounterVec("cv_total", "x", "w")
+	v := reg.GaugeVec("cv", "x", "w")
 
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -179,7 +179,7 @@ func TestConcurrentUse(t *testing.T) {
 			name := string(rune('a' + w%4))
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(0.25)
 				v.With(name).Inc()
 			}

@@ -16,10 +16,10 @@
 //   - Strategy decides one party's (channel, transmit?) choice per local
 //     round. The gallery covers uniform spreading at a chosen width
 //     (Uniform, with the Azar-optimal width min(F, 2t) via OptimalWidth),
-//     stay/ramble block strategies (StayRamble), deterministic hop
-//     sequences (Oblivious), and per-party channel-availability relabeling
-//     (Restricted). Strategies that can report their per-round marginal
-//     distribution implement Profiled; product-form jammers need it.
+//     stay/ramble block strategies (StayRamble) and deterministic hop
+//     sequences (Oblivious). Strategies that can report their per-round
+//     marginal distribution implement Profiled; product-form jammers need
+//     it.
 //     lowerbound.StrategyFromRegular adapts any lowerbound.Regular
 //     schedule, so the paper's protocols play unchanged.
 //

@@ -80,17 +80,6 @@ func TestObliviousSchedule(t *testing.T) {
 	}
 }
 
-func TestRestrictedRelabels(t *testing.T) {
-	rs := Restricted{S: Oblivious{M: 4, Stride: 1, P: 1}, Allowed: []int{5, 7}}
-	r := rng.New(1)
-	want := []int{5, 7, 5, 7} // inner 1,2,3,4 wraps onto {5,7}
-	for i, w := range want {
-		if f, _ := rs.Pick(uint64(i+1), r); f != w {
-			t.Fatalf("local %d relabeled to %d, want %d", i+1, f, w)
-		}
-	}
-}
-
 func TestStaticPrefix(t *testing.T) {
 	j := NewPrefix(8, 3)
 	set := j.Block(&Round{F: 8})
@@ -155,6 +144,11 @@ func TestGreedyBlockAllocs(t *testing.T) {
 	}
 }
 
+// unprofiled is a strategy without a per-round marginal (not Profiled).
+type unprofiled struct{}
+
+func (unprofiled) Pick(uint64, *rng.Rand) (int, bool) { return 1, true }
+
 func TestGreedyNeedsProfiled(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -166,7 +160,7 @@ func TestGreedyNeedsProfiled(t *testing.T) {
 		}
 	}()
 	g := NewGreedy(4, 1)
-	g.Block(&Round{F: 4, Locals: []uint64{1}, Strategies: []Strategy{Restricted{S: Uniform{M: 2, P: 0.5}, Allowed: []int{1, 2}}}})
+	g.Block(&Round{F: 4, Locals: []uint64{1}, Strategies: []Strategy{unprofiled{}}})
 }
 
 // TestChurnFeedsHistory checks that adaptive adversaries see the parties'

@@ -1,10 +1,6 @@
 package rendezvous
 
-import (
-	"fmt"
-
-	"wsync/internal/rng"
-)
+import "wsync/internal/rng"
 
 // Strategy decides one party's behavior. Pick is called once per round the
 // party is awake, with the party's local round (1-based) and its private
@@ -144,28 +140,4 @@ func (o Oblivious) Prob(local uint64, f int) float64 {
 		return 1
 	}
 	return 0
-}
-
-// Restricted relabels a strategy's picks onto an explicit allowed-channel
-// list, modeling the Azar-style setting where each party can only use its
-// own whitespace: the inner strategy plays [1..len(Allowed)] (wider inner
-// picks wrap around) and pick i maps to Allowed[i−1]. Combine with
-// Party.Mask to also jam stray receptions on the complement.
-type Restricted struct {
-	S       Strategy
-	Allowed []int
-}
-
-var _ Strategy = Restricted{}
-
-// Pick relabels the inner strategy's pick.
-func (rs Restricted) Pick(local uint64, r *rng.Rand) (int, bool) {
-	if len(rs.Allowed) == 0 {
-		panic("rendezvous: Restricted with empty Allowed list")
-	}
-	f, tx := rs.S.Pick(local, r)
-	if f < 1 {
-		panic(fmt.Sprintf("rendezvous: inner strategy picked channel %d", f))
-	}
-	return rs.Allowed[(f-1)%len(rs.Allowed)], tx
 }

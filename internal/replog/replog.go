@@ -26,9 +26,6 @@ type Config struct {
 	// own synchronization before joining replication; it gives the rest
 	// of the group time to synchronize. Zero means DefaultSettle.
 	Settle uint64
-	// AckProb is a follower's per-round acknowledgement probability; zero
-	// means min(1/2, 2/Members).
-	AckProb float64
 	// Quorum is the number of distinct follower acknowledgements required
 	// to commit an entry; zero means Members−1 (full replication). Crash-
 	// tolerant deployments choose a majority instead, trading durability
@@ -45,12 +42,6 @@ const DefaultSettle = 400
 func (c Config) withDefaults() Config {
 	if c.Settle == 0 {
 		c.Settle = DefaultSettle
-	}
-	if c.AckProb == 0 {
-		c.AckProb = 2 / float64(c.Members)
-		if c.AckProb > 0.5 {
-			c.AckProb = 0.5
-		}
 	}
 	if c.Quorum == 0 {
 		c.Quorum = c.Members - 1
@@ -69,9 +60,6 @@ func (c Config) Validate() error {
 	if len(c.Commands) == 0 {
 		return fmt.Errorf("replog: no commands to replicate")
 	}
-	if c.AckProb < 0 || c.AckProb > 1 {
-		return fmt.Errorf("replog: AckProb = %v", c.AckProb)
-	}
 	if c.Quorum < 0 || c.Quorum > c.Members-1 {
 		return fmt.Errorf("replog: Quorum = %d out of [0, Members-1]", c.Quorum)
 	}
@@ -85,6 +73,9 @@ type Node struct {
 	r    *rng.Rand
 	uid  uint64
 	dist freqdist.Uniform
+	// ackProb is a follower's per-round acknowledgement probability,
+	// min(1/2, 2/Members).
+	ackProb float64
 
 	syncedAt uint64 // local round of own synchronization (0 = not yet)
 
@@ -105,12 +96,13 @@ func New(cfg Config, syncAgent sim.Agent, r *rng.Rand) (*Node, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &Node{
-		cfg:  cfg,
-		sync: syncAgent,
-		r:    r,
-		uid:  core.NewUID(r, cfg.Members*16),
-		dist: freqdist.NewUniform(1, cfg.F),
-		acks: make(map[int]map[uint64]bool),
+		cfg:     cfg,
+		sync:    syncAgent,
+		r:       r,
+		uid:     core.NewUID(r, cfg.Members*16),
+		dist:    freqdist.NewUniform(1, cfg.F),
+		ackProb: min(0.5, 2/float64(cfg.Members)),
+		acks:    make(map[int]map[uint64]bool),
 	}, nil
 }
 
@@ -164,7 +156,7 @@ func (n *Node) Step(local uint64) sim.Action {
 		return sim.Action{Freq: f}
 	}
 	// Follower: mostly listen, occasionally acknowledge.
-	if len(n.log) > 0 && n.r.Bernoulli(n.cfg.AckProb) {
+	if len(n.log) > 0 && n.r.Bernoulli(n.ackProb) {
 		return sim.Action{Freq: f, Transmit: true, Msg: n.ackMessage()}
 	}
 	return sim.Action{Freq: f}

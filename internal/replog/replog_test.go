@@ -20,7 +20,6 @@ func TestConfigValidate(t *testing.T) {
 		{Members: 1, F: 8, Commands: []uint64{1}},
 		{Members: 3, F: 0, Commands: []uint64{1}},
 		{Members: 3, F: 8},
-		{Members: 3, F: 8, Commands: []uint64{1}, AckProb: 2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

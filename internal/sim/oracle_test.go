@@ -29,10 +29,19 @@ func diffSchedule(r *rng.Rand, n int) sim.Schedule {
 		return sim.Staggered{Count: n, Gap: uint64(r.IntRange(1, 5))}
 	case 2:
 		groups := r.IntRange(1, 3)
-		return sim.Burst{Groups: groups, GroupSize: (n + groups - 1) / groups, Gap: uint64(r.IntRange(1, 9))}
+		return burst(groups, (n+groups-1)/groups, uint64(r.IntRange(1, 9)))
 	default:
 		return sim.RandomWindow(n, uint64(r.IntRange(1, 40)), r.Uint64())
 	}
+}
+
+// burst activates groups waves of size nodes each, gap rounds apart.
+func burst(groups, size int, gap uint64) sim.Explicit {
+	rounds := make([]uint64, groups*size)
+	for i := range rounds {
+		rounds[i] = 1 + uint64(i/size)*gap
+	}
+	return sim.Explicit{Rounds: rounds}
 }
 
 // TestMediumDifferential runs the complete-graph resolver under the oracle

@@ -2,13 +2,11 @@ package sim
 
 import "wsync/internal/rng"
 
-// Simultaneous activates Count nodes in the same round (Round; 0 means
-// round 1). This is the "good execution" pattern the Good Samaritan
-// protocol is optimistic about, and the weak-adversary pattern of the
-// Theorem 1 lower bound.
+// Simultaneous activates Count nodes in round 1. This is the "good
+// execution" pattern the Good Samaritan protocol is optimistic about, and
+// the weak-adversary pattern of the Theorem 1 lower bound.
 type Simultaneous struct {
 	Count int
-	Round uint64
 }
 
 var _ Schedule = Simultaneous{}
@@ -16,19 +14,13 @@ var _ Schedule = Simultaneous{}
 // N returns the node count.
 func (s Simultaneous) N() int { return s.Count }
 
-// ActivationRound returns the common activation round.
-func (s Simultaneous) ActivationRound(int) uint64 {
-	if s.Round == 0 {
-		return 1
-	}
-	return s.Round
-}
+// ActivationRound returns 1.
+func (s Simultaneous) ActivationRound(int) uint64 { return 1 }
 
-// Staggered activates node i in round Start + i*Gap, modeling devices that
+// Staggered activates node i in round 1 + i*Gap, modeling devices that
 // come together in an ad hoc manner at a fixed rate.
 type Staggered struct {
 	Count int
-	Start uint64
 	Gap   uint64
 }
 
@@ -37,14 +29,8 @@ var _ Schedule = Staggered{}
 // N returns the node count.
 func (s Staggered) N() int { return s.Count }
 
-// ActivationRound returns Start + i*Gap (Start 0 means 1).
-func (s Staggered) ActivationRound(i int) uint64 {
-	start := s.Start
-	if start == 0 {
-		start = 1
-	}
-	return start + uint64(i)*s.Gap
-}
+// ActivationRound returns 1 + i*Gap.
+func (s Staggered) ActivationRound(i int) uint64 { return 1 + uint64(i)*s.Gap }
 
 // Explicit activates node i at Rounds[i].
 type Explicit struct {
@@ -69,27 +55,4 @@ func RandomWindow(n int, window uint64, seed uint64) Explicit {
 		rounds[i] = 1 + r.Uint64()%window
 	}
 	return Explicit{Rounds: rounds}
-}
-
-// Burst activates nodes in groups: Groups bursts of GroupSize nodes, the
-// bursts separated by Gap rounds. It models fleets of devices switched on
-// together (a conference room, a pallet of sensors) joining an existing
-// network — the arrival pattern that maximizes instantaneous contention.
-type Burst struct {
-	Groups    int
-	GroupSize int
-	Gap       uint64
-}
-
-var _ Schedule = Burst{}
-
-// N returns Groups × GroupSize.
-func (b Burst) N() int { return b.Groups * b.GroupSize }
-
-// ActivationRound places node i in burst i / GroupSize.
-func (b Burst) ActivationRound(i int) uint64 {
-	if b.GroupSize <= 0 {
-		return 1
-	}
-	return 1 + uint64(i/b.GroupSize)*b.Gap
 }

@@ -475,17 +475,9 @@ func TestSchedules(t *testing.T) {
 	if s.N() != 3 || s.ActivationRound(0) != 1 || s.ActivationRound(2) != 1 {
 		t.Fatal("Simultaneous misbehaves")
 	}
-	s2 := Simultaneous{Count: 2, Round: 5}
-	if s2.ActivationRound(1) != 5 {
-		t.Fatal("Simultaneous with explicit round misbehaves")
-	}
-	st := Staggered{Count: 4, Start: 2, Gap: 3}
-	if st.ActivationRound(0) != 2 || st.ActivationRound(3) != 11 {
+	st := Staggered{Count: 4, Gap: 3}
+	if st.N() != 4 || st.ActivationRound(0) != 1 || st.ActivationRound(3) != 10 {
 		t.Fatal("Staggered misbehaves")
-	}
-	st0 := Staggered{Count: 2, Gap: 1}
-	if st0.ActivationRound(0) != 1 {
-		t.Fatal("Staggered default start should be 1")
 	}
 	ex := Explicit{Rounds: []uint64{4, 2}}
 	if ex.N() != 2 || ex.ActivationRound(1) != 2 {
@@ -551,20 +543,4 @@ func TestWireFidelityRejectsUnencodable(t *testing.T) {
 		}
 	}()
 	_, _ = Run(cfg)
-}
-
-func TestBurstSchedule(t *testing.T) {
-	b := Burst{Groups: 3, GroupSize: 2, Gap: 10}
-	if b.N() != 6 {
-		t.Fatalf("N = %d", b.N())
-	}
-	want := []uint64{1, 1, 11, 11, 21, 21}
-	for i, w := range want {
-		if got := b.ActivationRound(i); got != w {
-			t.Fatalf("ActivationRound(%d) = %d, want %d", i, got, w)
-		}
-	}
-	if (Burst{Groups: 1}).ActivationRound(0) != 1 {
-		t.Fatal("degenerate burst should activate at round 1")
-	}
 }

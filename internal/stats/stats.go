@@ -78,52 +78,10 @@ func Percentile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CI95 returns the normal-approximation 95% confidence interval for the
-// mean.
-func (s Summary) CI95() (lo, hi float64) {
-	if s.N < 2 {
-		return s.Mean, s.Mean
-	}
-	half := 1.96 * s.StdDev / math.Sqrt(float64(s.N))
-	return s.Mean - half, s.Mean + half
-}
-
 // String renders the summary compactly.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.0f med=%.1f p95=%.1f max=%.0f",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
-
-// LinearFit computes the least-squares line y = slope·x + intercept and the
-// coefficient of determination R². Fewer than two points yield zeros.
-func LinearFit(xs, ys []float64) (slope, intercept, r2 float64) {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0, 0, 0
-	}
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var sxx, sxy, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return 0, my, 0
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	if syy == 0 {
-		return slope, intercept, 1
-	}
-	r2 = sxy * sxy / (sxx * syy)
-	return slope, intercept, r2
 }
 
 // FitRatio reports how well ys ≈ c·theory fits by returning the per-point
@@ -162,13 +120,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// FromUint64 converts measurement slices for the summary helpers.
-func FromUint64(xs []uint64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

@@ -69,44 +69,6 @@ func TestPercentilePanicsEmpty(t *testing.T) {
 	Percentile(nil, 0.5)
 }
 
-func TestCI95(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	lo, hi := s.CI95()
-	if lo >= s.Mean || hi <= s.Mean {
-		t.Fatalf("CI [%v, %v] does not bracket mean %v", lo, hi, s.Mean)
-	}
-	one := Summarize([]float64{5})
-	lo, hi = one.CI95()
-	if lo != 5 || hi != 5 {
-		t.Fatalf("single-point CI = [%v, %v]", lo, hi)
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{5, 7, 9, 11} // y = 2x + 3
-	slope, intercept, r2 := LinearFit(xs, ys)
-	if !almost(slope, 2, 1e-12) || !almost(intercept, 3, 1e-12) || !almost(r2, 1, 1e-12) {
-		t.Fatalf("fit = (%v, %v, %v)", slope, intercept, r2)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	if s, _, _ := LinearFit([]float64{1}, []float64{1}); s != 0 {
-		t.Fatal("fit on one point")
-	}
-	// Constant x: slope 0, intercept mean(y).
-	s, b, _ := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if s != 0 || !almost(b, 2, 1e-12) {
-		t.Fatalf("constant-x fit = (%v, %v)", s, b)
-	}
-	// Constant y: perfect fit with slope 0.
-	s, b, r2 := LinearFit([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if !almost(s, 0, 1e-12) || !almost(b, 4, 1e-12) || !almost(r2, 1, 1e-12) {
-		t.Fatalf("constant-y fit = (%v, %v, %v)", s, b, r2)
-	}
-}
-
 func TestFitRatio(t *testing.T) {
 	theory := []float64{10, 20, 40}
 	measured := []float64{30, 60, 120} // constant ratio 3
@@ -130,13 +92,12 @@ func TestRelSpreadInf(t *testing.T) {
 	}
 }
 
-func TestMeanAndFromUint64(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
 	}
-	xs := FromUint64([]uint64{1, 2, 3})
-	if !almost(Mean(xs), 2, 1e-12) {
-		t.Fatalf("Mean = %v", Mean(xs))
+	if got := Mean([]float64{1, 2, 3}); !almost(got, 2, 1e-12) {
+		t.Fatalf("Mean = %v", got)
 	}
 }
 
@@ -153,26 +114,6 @@ func TestQuickSummaryOrdering(t *testing.T) {
 		s := Summarize(xs)
 		return s.Min <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 &&
 			s.P75 <= s.P95 && s.P95 <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LinearFit recovers exact linear relationships.
-func TestQuickLinearFitRecovery(t *testing.T) {
-	f := func(slopeRaw, interceptRaw int8, n uint8) bool {
-		m := int(n%20) + 2
-		slope := float64(slopeRaw) / 4
-		intercept := float64(interceptRaw)
-		xs := make([]float64, m)
-		ys := make([]float64, m)
-		for i := 0; i < m; i++ {
-			xs[i] = float64(i)
-			ys[i] = slope*xs[i] + intercept
-		}
-		gotS, gotI, _ := LinearFit(xs, ys)
-		return almost(gotS, slope, 1e-9) && almost(gotI, intercept, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

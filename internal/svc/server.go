@@ -231,9 +231,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -20,10 +20,8 @@ type WorkerOptions struct {
 	Name string
 	// PollInterval seeds the idle backoff: the first empty poll sleeps
 	// about this long and consecutive empty polls double it (with
-	// jitter) up to MaxPollInterval. Default 500ms.
+	// jitter) up to a fixed cap of 16×PollInterval. Default 500ms.
 	PollInterval time.Duration
-	// MaxPollInterval caps the idle backoff. Default 16×PollInterval.
-	MaxPollInterval time.Duration
 	// Parallelism is the trial-runner worker count passed to the harness
 	// (0 = one per CPU). Results are bit-identical at any setting.
 	Parallelism int
@@ -79,10 +77,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	maxInterval := opts.MaxPollInterval
-	if maxInterval <= 0 {
-		maxInterval = 16 * interval
-	}
 	log := opts.Log
 	if log == nil {
 		log = discardLogger()
@@ -94,7 +88,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 	met := newWorkerMetrics(reg)
 	client := &Client{Base: opts.Server}
-	backoff := Backoff{Base: interval, Max: maxInterval}
+	backoff := Backoff{Base: interval, Max: 16 * interval}
 
 	sleep := func() bool {
 		t := time.NewTimer(backoff.Next())

@@ -433,7 +433,7 @@ func TestFaultTolerantLeaderContinuesNumbering(t *testing.T) {
 // pattern.
 func TestBurstArrival(t *testing.T) {
 	p := Params{N: 32, F: 8, T: 2}
-	cfg := runConfig(p, sim.Burst{Groups: 2, GroupSize: 4, Gap: 200},
+	cfg := runConfig(p, sim.Explicit{Rounds: []uint64{1, 1, 1, 1, 201, 201, 201, 201}},
 		adversary.NewPrefix(8, 2), 23, 400000)
 	check := props.NewChecker(8)
 	cfg.Observers = []sim.Observer{check}

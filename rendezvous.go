@@ -20,7 +20,8 @@ type RendezvousConfig struct {
 	// Width is the uniform spreading width every party plays
 	// (0 = the Azar-optimal min(F, 2T)).
 	Width int
-	// T is the jammer's per-round budget of blocked channels.
+	// T is the jammer's per-round budget of blocked channels
+	// (0 <= T < F).
 	T int
 	// Jammer names the band model: "" or "none", "greedy" (the Theorem 4
 	// product jammer), or any internal/adversary gallery name — "fixed",
@@ -28,8 +29,7 @@ type RendezvousConfig struct {
 	Jammer string
 	// Masks optionally jams receptions per party: party p cannot hear
 	// anything on the channels in Masks[p], while everyone else is
-	// unaffected (local interference). To restrict which channels a party
-	// USES, see rendezvous.Restricted.
+	// unaffected (local interference).
 	Masks [][]int
 	// Stagger is the wake gap between consecutive parties in rounds
 	// (0 = all wake together).
@@ -55,6 +55,9 @@ func RunRendezvous(c RendezvousConfig) (*RendezvousResult, error) {
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1 << 20
+	}
+	if c.T < 0 || c.T >= c.F {
+		return nil, fmt.Errorf("wsync: T = %d, need 0 <= T < F = %d", c.T, c.F)
 	}
 	strat := rendezvous.OptimalWidth(c.F, c.T)
 	if c.Width > 0 {
@@ -96,7 +99,7 @@ func RunRendezvous(c RendezvousConfig) (*RendezvousResult, error) {
 		Seed:      c.Seed,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wsync: rendezvous: %w", err)
+		return nil, fmt.Errorf("wsync: %w", err)
 	}
 	return res, nil
 }

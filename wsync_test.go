@@ -290,4 +290,13 @@ func TestRunRendezvousErrors(t *testing.T) {
 	if _, err := RunRendezvous(RendezvousConfig{Parties: 2, Masks: [][]int{{1}, {1}, {1}}}); err == nil {
 		t.Fatal("more masks than parties accepted")
 	}
+	for _, c := range []RendezvousConfig{{Jammer: "greedy", T: -1}, {F: 4, Jammer: "greedy", T: 4}} {
+		if _, err := RunRendezvous(c); err == nil {
+			t.Fatalf("budget T=%d on F=%d accepted", c.T, c.F)
+		}
+	}
+	_, err := RunRendezvous(RendezvousConfig{Parties: 1})
+	if err == nil || err.Error() != "wsync: rendezvous: 1 parties, need >= 2" {
+		t.Fatalf("one party: err = %v", err)
+	}
 }

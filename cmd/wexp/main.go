@@ -292,15 +292,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Serial-run counters, mirrors of the wsync_worker_* set: node-rounds
-	// are sampled as deltas of the engines' process-global atomics, never
-	// instrumenting the round loops themselves (see internal/obs doc).
+	// come from each experiment's own meter, never instrumenting the round
+	// loops themselves (see internal/obs doc).
 	metExperiments := reg.Counter("wsync_run_experiments_total", "Experiments run to completion by this invocation.")
-	metNodeRounds := reg.Counter("wsync_run_node_rounds_total", "Engine node-rounds executed (delta-sampled; docs/BENCH_FORMAT.md).")
+	metNodeRounds := reg.Counter("wsync_run_node_rounds_total", "Engine node-rounds executed (metered per experiment; docs/BENCH_FORMAT.md).")
 	metExpSeconds := reg.Histogram("wsync_run_experiment_seconds", "Wall time per experiment.", obs.DefTimeBuckets)
 
 	for _, e := range selected {
-		// Experiments run serially, so RunEntry's counter delta is exactly
-		// this experiment's work even though trials within it run in parallel.
+		// Experiments run serially so that each elapsed_ms is the
+		// experiment's own wall time: -plan-costs and the bench-regression
+		// gate read it. Node-rounds are metered per run either way.
 		ent, elapsed, err := shard.RunEntry(e, opt)
 		if err != nil {
 			fmt.Fprintf(stderr, "wexp: %s: %v\n", e.ID, err)

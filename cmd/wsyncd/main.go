@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listen      = fs.String("listen", "", "serve the job API on this address (server mode)")
 		worker      = fs.String("worker", "", "poll this wsyncd base URL for work (worker mode)")
 		name        = fs.String("name", "", "worker name (default host:pid)")
-		parallel    = fs.Int("parallel", 0, "worker mode: trial-runner goroutines per experiment (0 = one per CPU)")
+		parallel    = fs.Int("parallel", 0, "worker mode: experiments run side by side per assignment, and trial-runner goroutines per experiment (0 = one per CPU)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "worker mode: base idle poll interval (backs off exponentially with jitter while idle)")
 		heartbeat   = fs.Duration("heartbeat", 15*time.Second, "server mode: deadline for a worker to check in before its work is re-planned")
 		retryBase   = fs.Duration("retry-base", time.Second, "server mode: backoff unit for re-planned experiments (doubles per attempt)")

@@ -7,22 +7,10 @@ import (
 	"wsync/internal/rng"
 )
 
-// Dist is a probability distribution over frequencies [1..Max()].
-type Dist interface {
-	// Sample draws a frequency.
-	Sample(r *rng.Rand) int
-	// Prob returns the probability of drawing f; zero outside the support.
-	Prob(f int) float64
-	// Max returns the largest frequency with nonzero probability.
-	Max() int
-}
-
 // Uniform is the uniform distribution over [Lo..Hi].
 type Uniform struct {
 	Lo, Hi int
 }
-
-var _ Dist = Uniform{}
 
 // NewUniform returns the uniform distribution over [lo..hi]. It panics if
 // the range is empty or starts below 1.
@@ -56,8 +44,6 @@ type Special struct {
 	f int
 	l int
 }
-
-var _ Dist = Special{}
 
 // NewSpecial returns the special-round distribution over [1..f]. It panics
 // if f < 1.

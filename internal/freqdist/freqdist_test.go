@@ -8,6 +8,22 @@ import (
 	"wsync/internal/rng"
 )
 
+// Dist is what every distribution in this package provides; the checks
+// below run over each of them through it.
+type Dist interface {
+	// Sample draws a frequency.
+	Sample(r *rng.Rand) int
+	// Prob returns the probability of drawing f; zero outside the support.
+	Prob(f int) float64
+	// Max returns the largest frequency with nonzero probability.
+	Max() int
+}
+
+var (
+	_ Dist = Uniform{}
+	_ Dist = Special{}
+)
+
 // probSum sums Prob over the full support plus a margin; it should be 1.
 func probSum(t *testing.T, d Dist) float64 {
 	t.Helper()

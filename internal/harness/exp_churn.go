@@ -120,6 +120,7 @@ func runX9(o Options) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
+			o.count(res.NodeRounds)
 			if !res.HitMaxRounds && agreed(res.Rounds) {
 				agreedRuns.Add(1)
 			}

@@ -64,7 +64,7 @@ func runDispatchSweep(o Options, id, title string,
 			// One arena per trial: trials run concurrently and arena slots
 			// are only single-run-safe (slot i belongs to node i of one
 			// engine at a time).
-			res, err := sim.Run(&sim.Config{
+			res, err := o.simRun(&sim.Config{
 				F:              f,
 				T:              tJam,
 				Seed:           o.TrialSeed(pointKey(ptX10Sim, uint64(ci)), i),

@@ -25,7 +25,7 @@ func runX5(o Options) (*Table, error) {
 	p := trapdoor.Params{N: 16, F: 6, T: 2}
 	const active = 4
 	slotted, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-		rr, err := trapdoorRun(p, active, adversary.NewPrefix(p.F, p.T), o.TrialSeed(pointKey(ptX5, 0), i), 1<<21)
+		rr, err := o.trapdoorRun(p, active, adversary.NewPrefix(p.F, p.T), o.TrialSeed(pointKey(ptX5, 0), i), 1<<21)
 		if err != nil {
 			return 0, err
 		}
@@ -131,7 +131,7 @@ func runX6(o Options) (*Table, error) {
 					return true
 				},
 			}
-			res, err := sim.Run(cfg)
+			res, err := o.simRun(cfg)
 			if err != nil {
 				return 0, err
 			}
@@ -252,6 +252,7 @@ func runX7(o Options) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
+			o.count(res.NodeRounds)
 			if res.HitMaxRounds || !agreed(res.Rounds) {
 				conflicting.Store(true)
 				return 0, checkFailf("X7: %s trial %d never agreed", c.name, i)

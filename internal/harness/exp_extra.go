@@ -56,7 +56,7 @@ func compareProtocols(o Options, tbl *Table, key uint64, f, tJam int,
 			// Every protocol sees the same per-trial seed so the comparison
 			// holds the randomness fixed across rows.
 			seed := o.TrialSeed(pointKey(ptCompare, key), i)
-			return checkedRun(&sim.Config{
+			return o.checkedRun(&sim.Config{
 				F:         f,
 				T:         tJam,
 				Seed:      seed,
@@ -202,7 +202,7 @@ func runX3(o Options) (*Table, error) {
 			RunToMaxRounds: true,
 			Observers:      []sim.Observer{scan, check},
 		}
-		if _, err := sim.Run(cfg); err != nil {
+		if _, err := o.simRun(cfg); err != nil {
 			return x3Trial{}, err
 		}
 		var out x3Trial

@@ -86,6 +86,7 @@ func runT1(o Options) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
+				o.count(res.NodeRounds)
 				if !res.Happened {
 					return float64(uint64(1) << 21), nil
 				}
@@ -142,6 +143,7 @@ func runT4(o Options) (*Table, error) {
 		s, err := o.summarizeTrials(trials, func(i int) (float64, error) {
 			reg := lowerbound.UniformRegular{M: width, P: 0.5}
 			res := lowerbound.TwoNodeGame(reg, reg, f, tJam, 0, 1<<20, o.TrialSeed(pointKey(ptT4, uint64(tJam)), i))
+			o.count(res.NodeRounds)
 			if !res.Met {
 				return float64(uint64(1) << 20), nil
 			}
@@ -152,7 +154,8 @@ func runT4(o Options) (*Table, error) {
 		}
 		mean := s.Mean
 		theory := lowerbound.Theorem4Rounds(f, float64(tJam), math.Exp(-1)) // log(1/ε) = 1
-		best, _ := lowerbound.BestUniformWidth(f, tJam, 60, 1<<16, o.Seed+uint64(tJam), o.workers())
+		best, _, nodeRounds := lowerbound.BestUniformWidth(f, tJam, 60, 1<<16, o.Seed+uint64(tJam), o.workers())
+		o.count(nodeRounds)
 		theories = append(theories, theory)
 		means = append(means, mean)
 		holds := "yes"

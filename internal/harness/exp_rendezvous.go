@@ -66,6 +66,7 @@ func runR1(o Options) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
+				o.count(res.NodeRounds)
 				if res.FirstMeet == 0 {
 					return float64(uint64(maxRounds)), nil
 				}
@@ -129,6 +130,7 @@ func runR2(o Options) (*Table, error) {
 			if err != nil {
 				return trial{}, err
 			}
+			o.count(res.NodeRounds)
 			if res.AllMet == 0 {
 				return trial{}, checkFailf("R2: k=%d trial %d never all met", k, i)
 			}
@@ -243,6 +245,7 @@ func runR3(o Options) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
+				o.count(res.NodeRounds)
 				if res.FirstMeet == 0 {
 					return -1, nil // starved within the budget
 				}

@@ -10,9 +10,9 @@ import (
 )
 
 // samaritanRun executes one Good Samaritan simulation.
-func samaritanRun(p samaritan.Params, sched sim.Schedule, adv sim.Adversary,
+func (o Options) samaritanRun(p samaritan.Params, sched sim.Schedule, adv sim.Adversary,
 	seed uint64, maxRounds uint64) (runResult, error) {
-	return checkedRun(samaritanConfig(p, sched, adv, seed, maxRounds))
+	return o.checkedRun(samaritanConfig(p, sched, adv, seed, maxRounds))
 }
 
 // samaritanConfig is samaritanRun's engine run: the schedule's nodes,
@@ -53,7 +53,7 @@ func runT18a(o Options) (*Table, error) {
 	var theories, medians []float64
 	for _, tp := range tPrimes {
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(p, sim.Simultaneous{Count: active},
+			rr, err := o.samaritanRun(p, sim.Simultaneous{Count: active},
 				adversary.NewPrefix(f, tp), o.TrialSeed(pointKey(ptT18a, uint64(tp)), i), 1<<22)
 			if err != nil {
 				return 0, err
@@ -104,7 +104,7 @@ func runT18b(o Options) (*Table, error) {
 		tBudget := f / 2
 		p := samaritan.Params{N: nBound, F: f, T: tBudget}
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(p,
+			rr, err := o.samaritanRun(p,
 				sim.Staggered{Count: active, Gap: p.EpochLen(1)},
 				adversary.NewRandom(f, tBudget, o.TrialSeed(pointKey(ptT18bAdversary, uint64(f)), i)),
 				o.TrialSeed(pointKey(ptT18bSim, uint64(f)), i), 1<<23)
@@ -155,7 +155,7 @@ func runX1(o Options) (*Table, error) {
 	sp := samaritan.Params{N: nBound, F: f, T: tBudget}
 	for _, prime := range tPrimes {
 		tdSum, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := trapdoorRun(tp, active, adversary.NewPrefix(f, prime),
+			rr, err := o.trapdoorRun(tp, active, adversary.NewPrefix(f, prime),
 				o.TrialSeed(pointKey(ptX1Trapdoor, uint64(prime)), i), 1<<22)
 			if err != nil {
 				return 0, err
@@ -169,7 +169,7 @@ func runX1(o Options) (*Table, error) {
 			return nil, err
 		}
 		gsSum, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := samaritanRun(sp, sim.Simultaneous{Count: active},
+			rr, err := o.samaritanRun(sp, sim.Simultaneous{Count: active},
 				adversary.NewPrefix(f, prime), o.TrialSeed(pointKey(ptX1Samaritan, uint64(prime)), i), 1<<23)
 			if err != nil {
 				return 0, err

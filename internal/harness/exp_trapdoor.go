@@ -12,8 +12,8 @@ import (
 
 // trapdoorRun executes one Trapdoor simulation and returns the maximum
 // per-node synchronization time plus correctness accounting.
-func trapdoorRun(p trapdoor.Params, n int, adv sim.Adversary, seed uint64, maxRounds uint64) (runResult, error) {
-	return checkedRun(trapdoorConfig(p, n, adv, seed, maxRounds))
+func (o Options) trapdoorRun(p trapdoor.Params, n int, adv sim.Adversary, seed uint64, maxRounds uint64) (runResult, error) {
+	return o.checkedRun(trapdoorConfig(p, n, adv, seed, maxRounds))
 }
 
 // trapdoorConfig is trapdoorRun's engine run: n Trapdoor nodes activated
@@ -53,7 +53,7 @@ func runT10a(o Options) (*Table, error) {
 	for _, n := range ns {
 		p := trapdoor.Params{N: n, F: f, T: tJam}
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := trapdoorRun(p, active, adversary.NewPrefix(f, tJam), o.TrialSeed(pointKey(ptT10a, uint64(n)), i), 1<<21)
+			rr, err := o.trapdoorRun(p, active, adversary.NewPrefix(f, tJam), o.TrialSeed(pointKey(ptT10a, uint64(n)), i), 1<<21)
 			if err != nil {
 				return 0, err
 			}
@@ -110,7 +110,7 @@ func runT10b(o Options) (*Table, error) {
 		}
 		p := trapdoor.Params{N: nBound, F: f, T: tJam}
 		s, err := o.summarizeTrials(o.trials(), func(i int) (float64, error) {
-			rr, err := trapdoorRun(p, active, adversary.NewPrefix(f, tJam), o.TrialSeed(pointKey(ptT10b, key), i), 1<<22)
+			rr, err := o.trapdoorRun(p, active, adversary.NewPrefix(f, tJam), o.TrialSeed(pointKey(ptT10b, key), i), 1<<22)
 			if err != nil {
 				return 0, err
 			}
@@ -159,7 +159,7 @@ func runT10c(o Options) (*Table, error) {
 		p := trapdoor.Params{N: c.nBound, F: c.f, T: c.tJam}
 		multi, viol := 0, 0
 		results, err := mapTrials(o, runs, func(i int) (float64, error) {
-			rr, err := trapdoorRun(p, c.active, adversary.NewPrefix(c.f, c.tJam),
+			rr, err := o.trapdoorRun(p, c.active, adversary.NewPrefix(c.f, c.tJam),
 				o.TrialSeed(pointKey(ptT10c, uint64(c.nBound)<<16|uint64(c.active)), i), 1<<21)
 			if err != nil {
 				return 0, err
@@ -258,7 +258,7 @@ func runL9(o Options) (*Table, error) {
 		c, trial := configs[k/trials], k%trials
 		w := &WeightObserver{}
 		seed := o.TrialSeed(pointKey(ptL9, uint64(c.active)<<16|uint64(c.f)<<8|uint64(c.tJam)<<1|boolBit(c.noKnockout)), trial)
-		if _, err := sim.Run(l9Config(c.params(), c.active, seed, w)); err != nil {
+		if _, err := o.simRun(l9Config(c.params(), c.active, seed, w)); err != nil {
 			return weights{}, err
 		}
 		return weights{w.Max, w.MeanWeight()}, nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"wsync/internal/props"
 	"wsync/internal/rng"
@@ -38,6 +39,19 @@ type Options struct {
 	// records the mode in its tables so a benchdiff between a -nobatch
 	// report and a normal one reads as the devirtualization speedup.
 	NoBatch bool
+
+	// nodeRounds is the node-round meter of one experiment run
+	// (Experiment.RunMetered): every engine run the experiment makes adds
+	// its node-rounds here. Copies of the Options share it, so concurrent
+	// trials add to the same count. Nil counts nothing.
+	nodeRounds *atomic.Uint64
+}
+
+// count adds one engine run's node-rounds to the meter, if any.
+func (o Options) count(n uint64) {
+	if o.nodeRounds != nil {
+		o.nodeRounds.Add(n)
+	}
 }
 
 // DefaultTrials is the per-point repetition count when Options.Trials is 0.
@@ -71,6 +85,16 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Table, error)
+}
+
+// RunMetered runs e and returns its table with the node-rounds its engine
+// runs executed: exactly what the engines add to their process-global
+// TotalNodeRounds counters during the run, but counted for this run
+// alone, so experiments may run side by side in one process.
+func (e Experiment) RunMetered(opt Options) (*Table, uint64, error) {
+	opt.nodeRounds = new(atomic.Uint64)
+	tbl, err := e.Run(opt)
+	return tbl, opt.nodeRounds.Load(), err
 }
 
 // All returns every experiment in presentation order.
@@ -170,12 +194,21 @@ type runResult struct {
 	leaders    int
 }
 
+// simRun is sim.Run with the run's node-rounds added to o's meter.
+func (o Options) simRun(cfg *sim.Config) (*sim.Result, error) {
+	res, err := sim.Run(cfg)
+	if err == nil {
+		o.count(res.Stats.NodeRounds)
+	}
+	return res, err
+}
+
 // checkedRun runs cfg with a Section 3 property checker over its
 // schedule's nodes observing every round.
-func checkedRun(cfg *sim.Config) (runResult, error) {
+func (o Options) checkedRun(cfg *sim.Config) (runResult, error) {
 	check := props.NewChecker(cfg.Schedule.N())
 	cfg.Observers = append(cfg.Observers, check)
-	res, err := sim.Run(cfg)
+	res, err := o.simRun(cfg)
 	if err != nil {
 		return runResult{}, err
 	}

@@ -2,6 +2,7 @@ package lowerbound
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"wsync/internal/adversary"
 	"wsync/internal/pool"
@@ -17,6 +18,8 @@ type FirstClearResult struct {
 	Rounds uint64
 	// Happened reports whether a clear broadcast occurred at all.
 	Happened bool
+	// NodeRounds is the run's active node-rounds (sim.Stats.NodeRounds).
+	NodeRounds uint64
 }
 
 // FirstClear runs the Theorem 1 setting: n nodes all activated in round 1
@@ -42,7 +45,7 @@ func FirstClear(reg Regular, n, f, t int, maxRounds uint64, seed uint64) (FirstC
 	if err != nil {
 		return FirstClearResult{}, fmt.Errorf("lowerbound: first-clear run: %w", err)
 	}
-	return FirstClearResult{Rounds: res.FirstClear, Happened: res.FirstClear != 0}, nil
+	return FirstClearResult{Rounds: res.FirstClear, Happened: res.FirstClear != 0, NodeRounds: res.Stats.NodeRounds}, nil
 }
 
 // TwoNodeResult reports one Theorem 4 rendezvous game.
@@ -52,6 +55,9 @@ type TwoNodeResult struct {
 	// undisrupted frequency); 0 with Met == false if the budget ran out.
 	Rounds uint64
 	Met    bool
+	// NodeRounds is the game's awake party-rounds
+	// (rendezvous.Result.NodeRounds).
+	NodeRounds uint64
 }
 
 // TwoNodeGame plays the Theorem 4 game: nodes u and v follow regular
@@ -83,20 +89,21 @@ func TwoNodeGame(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed u
 		// original loop accepted; a failure here is a programming error.
 		panic(fmt.Sprintf("lowerbound: two-node game: %v", err))
 	}
-	return TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0}
+	return TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0, NodeRounds: res.NodeRounds}
 }
 
 // BestUniformWidth plays the two-node game with UniformRegular{M, 1/2}
 // schedules for every width M in [1..F] and returns the width minimizing
-// the mean rendezvous time, along with the per-width means. It reproduces
-// the Theorem 4 proof's extremal structure: the optimum is near min(F, 2t).
+// the mean rendezvous time, along with the per-width means and the
+// node-rounds of every game it played. It reproduces the Theorem 4
+// proof's extremal structure: the optimum is near min(F, 2t).
 //
 // The (width, trial) grid is fanned out across `workers` goroutines via
 // the shared work-stealing scheduler (0 means one per CPU). Per-game
 // seeds depend only on (seed, width, trial) and the per-width reduction
 // sums in trial order, so the result is bit-identical at every worker
 // count.
-func BestUniformWidth(f, t int, trials int, maxRounds uint64, seed uint64, workers int) (best int, means []float64) {
+func BestUniformWidth(f, t int, trials int, maxRounds uint64, seed uint64, workers int) (best int, means []float64, nodeRounds uint64) {
 	means = make([]float64, f+1)
 	// Widths m <= t are fully jammable: rendezvous never happens, so they
 	// cost the full budget and never enter the job grid.
@@ -105,13 +112,15 @@ func BestUniformWidth(f, t int, trials int, maxRounds uint64, seed uint64, worke
 	}
 	playable := f - t // m in [t+1, f]
 	if playable <= 0 {
-		return 1, means
+		return 1, means, 0
 	}
 	rounds := make([]float64, playable*trials) // rounds[(m-t-1)*trials + i]
+	var played atomic.Uint64
 	pool.Run(workers, playable*trials, func(_, job int) {
 		m, i := t+1+job/trials, job%trials
 		res := TwoNodeGame(UniformRegular{M: m, P: 0.5}, UniformRegular{M: m, P: 0.5},
 			f, t, 0, maxRounds, seed+uint64(i)*7919+uint64(m))
+		played.Add(res.NodeRounds)
 		if res.Met {
 			rounds[job] = float64(res.Rounds)
 		} else {
@@ -131,5 +140,5 @@ func BestUniformWidth(f, t int, trials int, maxRounds uint64, seed uint64, worke
 			best, bestMean = m, means[m]
 		}
 	}
-	return best, means
+	return best, means, played.Load()
 }

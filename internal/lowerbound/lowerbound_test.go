@@ -428,7 +428,7 @@ func TestTwoNodeGameHarderWithMoreJamming(t *testing.T) {
 // optimal spreading width is near min(F, 2t), and in particular beats
 // spreading across the whole band.
 func TestBestUniformWidth(t *testing.T) {
-	best, means := BestUniformWidth(8, 2, 250, 1<<16, 77, 4)
+	best, means, _ := BestUniformWidth(8, 2, 250, 1<<16, 77, 4)
 	if best <= 2 {
 		t.Fatalf("best width %d within jammed region", best)
 	}

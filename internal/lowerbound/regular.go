@@ -13,10 +13,12 @@ import (
 // (frequency distribution, broadcast probability) pairs that a node follows
 // until it receives its first message. Both of the paper's protocols are
 // regular; the lower-bound experiments run directly against these
-// schedules.
+// schedules. Every schedule here spreads uniformly over a prefix of the
+// band, so Dist returns the concrete freqdist.Uniform: a value, not an
+// interface, which keeps every Step, Pick and Prob free of allocations.
 type Regular interface {
 	// Dist returns the frequency distribution for the node's local round.
-	Dist(local uint64) freqdist.Dist
+	Dist(local uint64) freqdist.Uniform
 	// TxProb returns the broadcast probability for the local round.
 	TxProb(local uint64) float64
 }
@@ -32,7 +34,7 @@ type UniformRegular struct {
 var _ Regular = UniformRegular{}
 
 // Dist returns the uniform distribution over [1..M].
-func (u UniformRegular) Dist(uint64) freqdist.Dist { return freqdist.NewUniform(1, u.M) }
+func (u UniformRegular) Dist(uint64) freqdist.Uniform { return freqdist.NewUniform(1, u.M) }
 
 // TxProb returns P.
 func (u UniformRegular) TxProb(uint64) float64 { return u.P }
@@ -71,7 +73,7 @@ func NewTrapdoorRegular(p trapdoor.Params) *TrapdoorRegular {
 }
 
 // Dist returns the uniform distribution over [1..F'].
-func (t *TrapdoorRegular) Dist(uint64) freqdist.Dist { return t.dist }
+func (t *TrapdoorRegular) Dist(uint64) freqdist.Uniform { return t.dist }
 
 // TxProb returns the Figure 1 epoch probability for the local round.
 func (t *TrapdoorRegular) TxProb(local uint64) float64 {
@@ -117,7 +119,7 @@ func (u UnknownT) phaseWidth(local uint64) int {
 }
 
 // Dist returns the uniform distribution over the current width.
-func (u UnknownT) Dist(local uint64) freqdist.Dist {
+func (u UnknownT) Dist(local uint64) freqdist.Uniform {
 	return freqdist.NewUniform(1, u.phaseWidth(local))
 }
 

@@ -13,7 +13,8 @@ import (
 // of strictly highest product — is the only copy of that loop in the
 // module: rendezvous.Greedy and the history-reading jammers select through
 // freqset.TopT instead. It must stay bit-identical to TwoNodeGame, which
-// TestTwoNodeGameMatchesScan pins.
+// TestTwoNodeGameMatchesScan pins, node-rounds included: both parties wake
+// in round 1, so the game runs two party-rounds per round played.
 func twoNodeGameScan(u, v Regular, f, t int, offset uint64, maxRounds uint64, seed uint64) TwoNodeResult {
 	r := rng.New(seed)
 	ru := r.Split(1)
@@ -52,10 +53,10 @@ func twoNodeGameScan(u, v Regular, f, t int, offset uint64, maxRounds uint64, se
 		txu := ru.Bernoulli(bu)
 		txv := rv.Bernoulli(bv)
 		if fu == fv && txu != txv && !disrupted[fu] {
-			return TwoNodeResult{Rounds: i, Met: true}
+			return TwoNodeResult{Rounds: i, Met: true, NodeRounds: 2 * i}
 		}
 	}
-	return TwoNodeResult{}
+	return TwoNodeResult{NodeRounds: 2 * maxRounds}
 }
 
 // TestRendezvousMatchesTwoNodeGame is the engine's differential anchor:
@@ -98,7 +99,7 @@ func TestRendezvousMatchesTwoNodeGame(t *testing.T) {
 			}
 			reg := UniformRegular{M: c.width, P: 0.5}
 			want := twoNodeGameScan(reg, reg, c.f, c.t, c.offset, 1<<16, seed)
-			got := TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0}
+			got := TwoNodeResult{Rounds: res.FirstMeet, Met: res.FirstMeet != 0, NodeRounds: res.NodeRounds}
 			if got != want {
 				t.Fatalf("F=%d t=%d width=%d offset=%d seed=%d: engine %+v, scan oracle %+v",
 					c.f, c.t, c.width, c.offset, seed, got, want)

@@ -21,10 +21,10 @@
 //     diffable in CI logs.
 //
 // The engine hot paths are deliberately NOT instrumented through this
-// package: internal/sim, internal/multihop, and internal/rendezvous keep
-// their existing process-global atomic node-round counters
-// (sim.TotalNodeRounds etc.), and the service layer samples deltas of
-// those around each experiment. The zero-allocation round-loop contract
+// package: the harness counts node-rounds once per engine run, from the
+// run's result, into a meter of the experiment's own
+// (harness.Experiment.RunMetered), and the service layer adds each
+// entry's count to its counters. The zero-allocation round-loop contract
 // (TestSteadyStateAllocs, TestActivationRoundAllocs) is therefore
 // untouched by observability.
 //

@@ -11,8 +11,9 @@ import (
 )
 
 // totalNodeRounds accumulates awake party-rounds over every completed game
-// in this process; wexp samples TotalNodeRounds around each experiment to
-// derive the node-rounds/s figure in the benchmark report.
+// in this process. The benchmark module (bench/) is its only reader:
+// report entries take node_rounds from each experiment's own meter
+// (harness.Experiment.RunMetered), which counts the same runs.
 var totalNodeRounds atomic.Uint64
 
 // TotalNodeRounds returns the process-wide count of awake party-rounds

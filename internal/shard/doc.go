@@ -2,7 +2,8 @@
 // machinery behind `wexp -shards K -shard-index i` and `wexp merge`, and
 // under the wsyncd job service in internal/svc (see docs/BENCH_FORMAT.md,
 // "Sharding"). RunEntry is the one experiment→entry runner that wexp's
-// serial loop and the wsyncd worker share.
+// serial loop and the wsyncd worker's lanes share; each call meters its
+// own node-rounds, so calls may run side by side.
 //
 // The unit of sharding is the experiment: the wsync-bench/v1 report is
 // merge-friendly exactly at experiment-id granularity (tables are keyed

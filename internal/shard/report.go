@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"wsync/internal/harness"
-	"wsync/internal/multihop"
-	"wsync/internal/rendezvous"
-	"wsync/internal/sim"
 )
 
 // Schema is the report version every emitter stamps and this package
@@ -50,13 +47,11 @@ type Entry struct {
 
 // RunEntry runs one experiment and fills its report entry; it also
 // returns the unrounded wall time for the caller's metrics. node_rounds
-// is the delta of the engines' process-global node-round counters around
-// the run, so it is exact only while one experiment runs per process at
-// a time — wexp's serial loop and a wsyncd worker both guarantee that.
+// comes from the run's own meter (harness.Experiment.RunMetered), so it is
+// exact while other experiments run in the same process.
 func RunEntry(e harness.Experiment, opt harness.Options) (Entry, time.Duration, error) {
-	before := nodeRoundsTotal()
 	start := time.Now()
-	tbl, err := e.Run(opt)
+	tbl, nodeRounds, err := e.RunMetered(opt)
 	if err != nil {
 		return Entry{}, 0, err
 	}
@@ -64,17 +59,12 @@ func RunEntry(e harness.Experiment, opt harness.Options) (Entry, time.Duration, 
 	ent := Entry{
 		Table:      tbl,
 		ElapsedMS:  elapsed.Round(time.Millisecond).Milliseconds(),
-		NodeRounds: nodeRoundsTotal() - before,
+		NodeRounds: nodeRounds,
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		ent.NodeRoundsPerSec = float64(ent.NodeRounds) / s
 	}
 	return ent, elapsed, nil
-}
-
-// nodeRoundsTotal sums the per-engine node-round counters.
-func nodeRoundsTotal() uint64 {
-	return sim.TotalNodeRounds() + multihop.TotalNodeRounds() + rendezvous.TotalNodeRounds()
 }
 
 // Meta stamps a shard artifact with its place in the partition: which

@@ -12,9 +12,9 @@ import (
 )
 
 // totalNodeRounds accumulates active node-rounds over every completed run
-// in this process. It exists for throughput accounting: wexp samples
-// TotalNodeRounds around each experiment to derive the node-rounds/s
-// figure recorded in the wsync-bench/v1 report.
+// in this process. The benchmark module (bench/) is its only reader:
+// report entries take node_rounds from each experiment's own meter
+// (harness.Experiment.RunMetered), which counts the same runs.
 var totalNodeRounds atomic.Uint64
 
 // TotalNodeRounds returns the process-wide count of active node-rounds

@@ -25,7 +25,7 @@ func TestEventStreamEndToEnd(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	_, client := startServer(t, svc.Options{Log: testLogger(t)})
-	startWorker(t, client, "w1")
+	startWorker(t, client, "w1", 1)
 
 	sub, err := client.Submit(svc.SubmitRequest{Seed: 11, Trials: 1, Quick: true, Run: []string{"F1", "L2"}})
 	if err != nil {

@@ -41,11 +41,9 @@ func startServer(t *testing.T, opts svc.Options) (*svc.Server, *svc.Client) {
 	return s, &svc.Client{Base: hs.URL}
 }
 
-// startWorker runs one RunWorker goroutine; cleanup cancels and joins
-// it, so no worker outlives its test (the node-round counters the
-// entries derive from are process-global, and a stray worker computing
-// concurrently with a direct run would corrupt both).
-func startWorker(t *testing.T, client *svc.Client, name string) (stop func()) {
+// startWorker runs one RunWorker goroutine with the given lane count;
+// cleanup cancels and joins it, so no worker outlives its test.
+func startWorker(t *testing.T, client *svc.Client, name string, parallelism int) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -54,7 +52,7 @@ func startWorker(t *testing.T, client *svc.Client, name string) (stop func()) {
 			Server:       client.Base,
 			Name:         name,
 			PollInterval: 10 * time.Millisecond,
-			Parallelism:  1,
+			Parallelism:  parallelism,
 			Log:          testLogger(t),
 		})
 	}()
@@ -74,9 +72,8 @@ func startWorker(t *testing.T, client *svc.Client, name string) (stop func()) {
 }
 
 // directReport computes the report an unsharded `wexp -json` run of the
-// same sweep would produce (volatile fields aside). Must not run while
-// a worker is computing — both derive node_rounds from process-global
-// counters.
+// same sweep would produce (volatile fields aside): a serial RunEntry
+// loop, node_rounds included.
 func directReport(t *testing.T, req svc.SubmitRequest) *shard.Report {
 	t.Helper()
 	opt := harness.Options{Trials: req.Trials, Seed: req.Seed, Quick: req.Quick, Full: req.Full, Parallelism: 1}
@@ -94,11 +91,11 @@ func directReport(t *testing.T, req svc.SubmitRequest) *shard.Report {
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
 		}
-		tbl, err := e.Run(opt)
+		ent, _, err := shard.RunEntry(e, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.Experiments = append(rep.Experiments, shard.Entry{Table: tbl})
+		rep.Experiments = append(rep.Experiments, ent)
 	}
 	return rep
 }
@@ -142,11 +139,10 @@ func TestJobServiceEndToEnd(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	req := svc.SubmitRequest{Seed: 3, Trials: 1, Quick: true, Run: []string{"F1", "L2"}}
-	// Direct report first — the worker must be idle while this computes.
 	want := encodeZeroed(t, directReport(t, req))
 
 	_, client := startServer(t, svc.Options{})
-	stopWorker := startWorker(t, client, "w1")
+	stopWorker := startWorker(t, client, "w1", 1)
 
 	sub, err := client.Submit(req)
 	if err != nil {
@@ -213,6 +209,32 @@ func TestJobServiceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWorkerLanes pins the worker's lanes: one worker with Parallelism 2
+// takes a whole multi-experiment job as one assignment and runs it on two
+// lanes side by side. Its merged report is byte-identical to a serial
+// RunEntry loop, node_rounds included, because every run meters its own
+// node-rounds. The selection covers each engine: the round core (T10a,
+// L9, X5), multihop (X7), rendezvous (T4, R1) and analytic rows (L2).
+func TestWorkerLanes(t *testing.T) {
+	req := svc.SubmitRequest{Seed: 6, Trials: 1, Quick: true,
+		Run: []string{"L2", "T4", "T10a", "L9", "X5", "X7", "R1"}}
+	want := encodeZeroed(t, directReport(t, req))
+
+	_, client := startServer(t, svc.Options{})
+	startWorker(t, client, "lanes", 2)
+	sub, err := client.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitForState(t, client, sub.JobID, 120*time.Second)
+	if st.State != svc.StateDone {
+		t.Fatalf("job state = %s (err %q), want done", st.State, st.Error)
+	}
+	if got := encodeZeroed(t, st.Report); !bytes.Equal(got, want) {
+		t.Fatalf("two-lane report differs from the serial RunEntry loop:\n--- lanes ---\n%s\n--- serial ---\n%s", got, want)
+	}
+}
+
 // TestKilledWorkerReplan pins retry/re-plan: a worker takes the whole
 // job and goes silent; after its heartbeat deadline the experiments are
 // re-planned onto a live worker and the job still completes with a
@@ -245,7 +267,7 @@ func TestKilledWorkerReplan(t *testing.T) {
 		t.Fatalf("staller assignment = %+v, want both experiments", a)
 	}
 
-	startWorker(t, client, "survivor")
+	startWorker(t, client, "survivor", 1)
 	st := waitForState(t, client, sub.JobID, 90*time.Second)
 	if st.State != svc.StateDone {
 		t.Fatalf("job state = %s (err %q), want done after re-plan", st.State, st.Error)
@@ -337,7 +359,7 @@ func TestSkippedPushReplannedOnPoll(t *testing.T) {
 		if st.State != svc.StateRunning || st.Retries != 1 {
 			t.Fatalf("after the skip: state %s, retries %d; want running with 1 retry", st.State, st.Retries)
 		}
-		startWorker(t, client, "w2")
+		startWorker(t, client, "w2", 1)
 		st = waitForState(t, client, sub.JobID, 30*time.Second)
 		if st.State != svc.StateDone {
 			t.Fatalf("job state = %s (err %q), want done by the second worker", st.State, st.Error)

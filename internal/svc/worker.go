@@ -8,6 +8,7 @@ import (
 
 	"wsync/internal/harness"
 	"wsync/internal/obs"
+	"wsync/internal/pool"
 	"wsync/internal/shard"
 )
 
@@ -22,8 +23,10 @@ type WorkerOptions struct {
 	// about this long and consecutive empty polls double it (with
 	// jitter) up to a fixed cap of 16×PollInterval. Default 500ms.
 	PollInterval time.Duration
-	// Parallelism is the trial-runner worker count passed to the harness
-	// (0 = one per CPU). Results are bit-identical at any setting.
+	// Parallelism is the number of lanes an assignment's experiments run
+	// on side by side, and the trial-runner worker count passed to the
+	// harness (0 = one per CPU for both). Results are bit-identical at
+	// any setting.
 	Parallelism int
 	// Log receives one record per assignment, push, and error, each
 	// carrying worker/job attributes. Nil discards them.
@@ -55,14 +58,15 @@ func newWorkerMetrics(reg *obs.Registry) workerMetrics {
 		experiments: reg.Counter("wsync_worker_experiments_total", "Experiments run to completion."),
 		expFailures: reg.Counter("wsync_worker_experiment_failures_total", "Experiments whose Run returned an error."),
 		pushErrors:  reg.Counter("wsync_worker_push_errors_total", "Entry pushes that failed in transport."),
-		nodeRounds:  reg.Counter("wsync_worker_node_rounds_total", "Engine node-rounds executed, sampled as deltas of the process-global atomic counters (docs/BENCH_FORMAT.md)."),
-		expSeconds:  reg.Histogram("wsync_worker_experiment_seconds", "Wall time per experiment.", obs.DefTimeBuckets),
+		nodeRounds:  reg.Counter("wsync_worker_node_rounds_total", "Engine node-rounds executed, metered per experiment (docs/BENCH_FORMAT.md)."),
+		expSeconds:  reg.Histogram("wsync_worker_experiment_seconds", "Wall time per experiment; lanes overlap.", obs.DefTimeBuckets),
 		busy:        reg.Gauge("wsync_worker_busy", "1 while running an assignment, 0 while idle."),
 	}
 }
 
-// RunWorker polls the server for assignments, runs them through the
-// harness, and pushes the entries back, until ctx is cancelled (which
+// RunWorker polls the server for assignments, runs each assignment's
+// experiments through the harness on Parallelism lanes, and pushes the
+// entries back as they complete, until ctx is cancelled (which
 // returns nil) or an assignment names an experiment this binary does
 // not know (a version skew error worth dying loudly for). Transport
 // errors are logged and retried — a worker outlives server restarts.
@@ -125,6 +129,17 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		met.assignments.Inc()
 		met.busy.Set(1)
 		log.Info("assignment received", "job", a.JobID, "ids", a.IDs)
+		// Check every id before running any: a version skew fails the
+		// worker with nothing of the assignment run.
+		exps := make([]harness.Experiment, len(a.IDs))
+		for i, id := range a.IDs {
+			e, ok := harness.ByID(id)
+			if !ok {
+				met.busy.Set(0)
+				return fmt.Errorf("svc: worker %s assigned unknown experiment %q (server/worker version skew?)", opts.Name, id)
+			}
+			exps[i] = e
+		}
 		opt := harness.Options{
 			Trials:      a.Trials,
 			Seed:        a.Seed,
@@ -132,26 +147,22 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			Full:        a.Full,
 			Parallelism: opts.Parallelism,
 		}
-		for _, id := range a.IDs {
+		// The assignment's experiments run on Parallelism lanes, in lease
+		// order; at Parallelism 1 that is one serial loop. Each run meters
+		// its own node-rounds, so lanes do not read each other's work.
+		pool.Run(opts.Parallelism, len(exps), func(_, i int) {
 			if ctx.Err() != nil {
-				met.busy.Set(0)
-				return nil
+				return
 			}
-			e, ok := harness.ByID(id)
-			if !ok {
-				met.busy.Set(0)
-				return fmt.Errorf("svc: worker %s assigned unknown experiment %q (server/worker version skew?)", opts.Name, id)
-			}
-			// Experiments run serially within a worker, so RunEntry's
-			// node-round delta is exact.
+			e := exps[i]
 			ent, elapsed, err := shard.RunEntry(e, opt)
 			if err != nil {
 				// Skip the push: this worker's next poll hands the id back
 				// to the server, whose attempt bound turns a persistent
 				// failure into a failed job with a diagnostic.
 				met.expFailures.Inc()
-				log.Error("experiment failed", "job", a.JobID, "experiment", id, "error", err)
-				continue
+				log.Error("experiment failed", "job", a.JobID, "experiment", e.ID, "error", err)
+				return
 			}
 			met.experiments.Inc()
 			met.nodeRounds.Add(ent.NodeRounds)
@@ -164,11 +175,13 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			state, err := client.Push(opts.Name, a.JobID, []shard.Entry{ent})
 			if err != nil {
 				met.pushErrors.Inc()
-				log.Warn("push failed", "job", a.JobID, "experiment", id, "error", err)
-				continue
+				log.Warn("push failed", "job", a.JobID, "experiment", e.ID, "error", err)
+				return
 			}
-			log.Info("entry pushed", "job", a.JobID, "experiment", id, "job_state", state)
-		}
+			log.Info("entry pushed", "job", a.JobID, "experiment", e.ID, "job_state", state)
+		})
+		// Every lane has drained: the next poll reports this assignment
+		// finished (the svc.go contract).
 		met.busy.Set(0)
 	}
 }
